@@ -5,15 +5,41 @@ package core
 // per-sample ADC calibration, per-sample keyed readout substreams — on both
 // the direct and the tiled path, while the tiled path's packed shot
 // schedule must never exceed (and, where the aperture has slack, must beat)
-// the per-sample shot count.
+// the per-sample shot count. Both tables also pin the two behaviours only a
+// whole-plane readout supports: the transient-misfire guard of a seeded
+// shot-fault injector, and percentile ADC calibration.
 
 import (
 	"math/rand"
 	"testing"
 
+	"photofourier/internal/fault"
 	"photofourier/internal/jtc"
 	"photofourier/internal/tensor"
 )
+
+// shotFaults gives an engine a seeded shot-misfire injector when spec is
+// non-empty; engines built with the same spec draw the same faults.
+func shotFaults(t *testing.T, e *Engine, spec string) {
+	t.Helper()
+	if spec == "" {
+		return
+	}
+	inj, err := fault.Parse(spec, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Faults = inj
+}
+
+// checkShotFaultsFired fails a shot-fault case whose injector never fired,
+// which would leave the misfire guard untested.
+func checkShotFaultsFired(t *testing.T, e *Engine, spec string) {
+	t.Helper()
+	if spec != "" && e.Faults.Counters().ShotFaults == 0 {
+		t.Fatalf("fault spec %q injected no shot misfires", spec)
+	}
+}
 
 func TestForwardBatchCallsDirectBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -21,12 +47,16 @@ func TestForwardBatchCallsDirectBitIdentity(t *testing.T) {
 		n, cin, cout, h, w, k, stride int
 		pad                           tensor.PadMode
 		noise                         float64
+		faults                        string
+		pct                           float64
 	}{
-		{3, 3, 8, 16, 16, 3, 1, tensor.Same, 0},
-		{8, 5, 4, 12, 10, 3, 1, tensor.Valid, 0},
-		{4, 3, 6, 9, 9, 5, 2, tensor.Same, 0.01},
-		{1, 2, 3, 8, 8, 1, 1, tensor.Same, 0.005},
-		{3, 2, 4, 12, 12, 7, 1, tensor.Same, 0}, // k > 5: heap tap scratch per worker
+		{3, 3, 8, 16, 16, 3, 1, tensor.Same, 0, "", 0},
+		{8, 5, 4, 12, 10, 3, 1, tensor.Valid, 0, "", 0},
+		{4, 3, 6, 9, 9, 5, 2, tensor.Same, 0.01, "", 0},
+		{1, 2, 3, 8, 8, 1, 1, tensor.Same, 0.005, "", 0},
+		{3, 2, 4, 12, 12, 7, 1, tensor.Same, 0, "", 0}, // k > 5: heap tap scratch per worker
+		{4, 3, 8, 12, 12, 3, 1, tensor.Same, 0.01, "shot:0.2", 0},
+		{4, 3, 6, 10, 10, 3, 2, tensor.Same, 0.005, "", 0.99},
 	} {
 		x := tensor.New(tc.n, tc.cin, tc.h, tc.w)
 		x.RandN(rng, 1)
@@ -39,7 +69,9 @@ func TestForwardBatchCallsDirectBitIdentity(t *testing.T) {
 		mk := func() *Engine {
 			e := NewEngine()
 			e.ReadoutNoise = tc.noise
+			e.ADCCalibPercentile = tc.pct
 			e.Parallelism = 4 // exercise the worker pool even on 1-CPU hosts
+			shotFaults(t, e, tc.faults)
 			return e
 		}
 		eA, eB := mk(), mk()
@@ -76,6 +108,8 @@ func TestForwardBatchCallsDirectBitIdentity(t *testing.T) {
 				t.Fatalf("case %+v: elem %d: %v != %v", tc, i, got.Data[i], want[i])
 			}
 		}
+		checkShotFaultsFired(t, eA, tc.faults)
+		checkShotFaultsFired(t, eB, tc.faults)
 	}
 }
 
@@ -86,12 +120,16 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 		pad                          tensor.PadMode
 		noise                        float64
 		packs                        bool
+		faults                       string
+		pct                          float64
 	}{
-		{3, 3, 4, 16, 16, 3, 256, tensor.Same, 0, true},     // row tiling; leftover chunks pack
-		{4, 2, 3, 12, 12, 3, 128, tensor.Valid, 0, true},    // row tiling; flexible chunking packs
-		{4, 2, 3, 10, 16, 3, 40, tensor.Valid, 0.01, true},  // partial row tiling packs short passes
-		{2, 2, 2, 6, 20, 3, 12, tensor.Valid, 0, false},     // row partitioning: no slack
-		{8, 3, 4, 16, 16, 3, 64, tensor.Same, 0.005, false}, // full-aperture chunks: nothing to pack
+		{3, 3, 4, 16, 16, 3, 256, tensor.Same, 0, true, "", 0},     // row tiling; leftover chunks pack
+		{4, 2, 3, 12, 12, 3, 128, tensor.Valid, 0, true, "", 0},    // row tiling; flexible chunking packs
+		{4, 2, 3, 10, 16, 3, 40, tensor.Valid, 0.01, true, "", 0},  // partial row tiling packs short passes
+		{2, 2, 2, 6, 20, 3, 12, tensor.Valid, 0, false, "", 0},     // row partitioning: no slack
+		{8, 3, 4, 16, 16, 3, 64, tensor.Same, 0.005, false, "", 0}, // full-aperture chunks: nothing to pack
+		{4, 3, 5, 12, 12, 3, 128, tensor.Valid, 0.01, true, "shot:0.2", 0},
+		{4, 2, 4, 12, 12, 3, 128, tensor.Valid, 0.005, true, "", 0.99},
 	} {
 		x := tensor.New(tc.n, tc.cin, tc.h, tc.w)
 		x.RandN(rng, 1)
@@ -102,6 +140,8 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 			e.UseTiledPath = true
 			e.NConv = tc.nconv
 			e.ReadoutNoise = tc.noise
+			e.ADCCalibPercentile = tc.pct
+			shotFaults(t, e, tc.faults)
 			return e
 		}
 		eA, eB := mk(), mk()
@@ -137,6 +177,8 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 				t.Fatalf("case %+v: elem %d: %v != %v", tc, i, got.Data[i], want[i])
 			}
 		}
+		checkShotFaultsFired(t, eA, tc.faults)
+		checkShotFaultsFired(t, eB, tc.faults)
 		t.Logf("case %+v: per-sample shots %d, packed batch shots %d", tc, perSampleShots, batchShots)
 		if batchShots > perSampleShots {
 			t.Errorf("case %+v: packed schedule issued MORE shots: %d vs %d", tc, batchShots, perSampleShots)

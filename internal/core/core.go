@@ -532,6 +532,9 @@ func groupedConv2D(x, wt *tensor.Tensor, groups [][2]int, pad tensor.PadMode, wo
 						if dx+ox1 > w {
 							ox1 = w - dx
 						}
+						if ox0 >= ox1 {
+							continue // every column of the tap reads padding
+						}
 						for oy := oy0; oy < oy1; oy++ {
 							srcRow := x.Data[inBase+(oy+dy)*w+dx+ox0 : inBase+(oy+dy)*w+dx+ox1]
 							dstRow := dst[oy*ow+ox0 : oy*ow+ox1]
@@ -572,17 +575,7 @@ func (e *Engine) hardwareScale(psums [][]float64, cin int) float64 {
 		// derived scale is bit-identical).
 		return calibScale(psums[0], e.ADCCalibPercentile)
 	}
-	hwDepth := hardwareAccumulationDepth
-	if e.NTA > hwDepth {
-		hwDepth = e.NTA
-	}
-	if hwDepth > cin {
-		hwDepth = cin
-	}
-	per := (hwDepth + e.NTA - 1) / e.NTA // operating groups per hardware group
-	if per < 1 {
-		per = 1
-	}
+	per := e.hardwareGroupSize(cin)
 	scale := 0.0
 	acc := getFloatsZeroed(len(psums[0]))
 	defer putFloats(acc)
@@ -610,6 +603,19 @@ func (e *Engine) hardwareScale(psums [][]float64, cin int) float64 {
 		return 1
 	}
 	return scale
+}
+
+// hardwareGroupSize is how many consecutive operating groups hardwareScale
+// merges into one design-depth hardware group.
+func (e *Engine) hardwareGroupSize(cin int) int {
+	hwDepth := hardwareAccumulationDepth
+	if e.NTA > hwDepth {
+		hwDepth = e.NTA
+	}
+	if hwDepth > cin {
+		hwDepth = cin
+	}
+	return max((hwDepth+e.NTA-1)/e.NTA, 1)
 }
 
 // readout applies ADC quantization (at the fixed per-layer full scale) and

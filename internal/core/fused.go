@@ -134,6 +134,9 @@ func fusedSignedGroupedConv2D(xpos, xneg []float64, n, cin, h, w int, wq []float
 						if dx+ox1 > w {
 							ox1 = w - dx
 						}
+						if ox0 >= ox1 {
+							continue // every column of the tap reads padding
+						}
 						// The part-presence branch is hoisted out of the row
 						// loop; re-slicing every operand row to the source
 						// row's length lets the compiler drop the

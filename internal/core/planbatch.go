@@ -1,17 +1,14 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
 
-	"photofourier/internal/nn"
 	"photofourier/internal/quant"
 	"photofourier/internal/tensor"
 )
 
-// This file is the batch-major execution path of a LayerPlan: one
-// ForwardBatchCalls call runs a whole batch through the layer with
+// This file holds the batch-major sweeps of a LayerPlan and its batch
+// entry point. ForwardBatchCalls runs a whole batch through the layer with
 // PER-SAMPLE semantics — each sample gets its own DAC quantization scale,
 // its own ADC full-scale calibration, and its own readout-noise substreams —
 // so the result is bit-identical to looping the planned single-sample path
@@ -19,22 +16,23 @@ import (
 // are walked once per output channel (not once per sample), every
 // activation plane is zero-padded once so the shift-and-add sweep runs as
 // chained full-plane register-tiled passes with no boundary clipping, and
-// the whole batch stays resident between pipeline stages.
+// the whole batch stays resident between pipeline stages. It is the batch
+// kernel of planrange.go run over the output channel range [0, cout).
 //
 // The zero padding is exact, not approximate: a tap reading a padding cell
 // contributes c*0 == +0, and adding +0 to a non-negative partial sum is an
 // IEEE no-op, so the padded sweep produces the same bits as the
 // boundary-clipped sweep that skips those taps. Junk columns between padded
-// rows do accumulate garbage; they are excluded when each sample's plane is
-// compacted for calibration and readout, and never reach an output.
+// rows do accumulate garbage; they are dropped when each sample's planes
+// are compacted after detection, and never reach an output.
 
 // padGeom is the padded plane layout of one batch-major direct sweep.
 type padGeom struct {
 	h, w, k    int
 	padT, padL int
 	oh, ow     int
-	sd         int // padded row stride: w + 2*padL
-	srcRows    int // padded source rows: h + 2*padT
+	sd         int // padded row stride: w + k-1 in Same mode, w in Valid
+	srcRows    int // padded source rows: h + k-1 in Same mode, h in Valid
 	srcPlane   int // srcRows * sd
 	dstPlane   int // oh * sd (output rows at source stride; cols [ow, sd) are junk)
 	span       int // flattened sweep span: (oh-1)*sd + ow
@@ -43,11 +41,12 @@ type padGeom struct {
 func newPadGeom(h, w, k int, pad tensor.PadMode) padGeom {
 	g := padGeom{h: h, w: w, k: k}
 	g.oh, g.ow = convOutHW(h, w, k, pad)
+	g.sd, g.srcRows = w, h
 	if pad == tensor.Same {
+		// Same pads (k-1)/2 before and k/2 after each axis, as tensor.Conv2D.
 		g.padT, g.padL = tensor.SamePad(k), tensor.SamePad(k)
+		g.sd, g.srcRows = w+k-1, h+k-1
 	}
-	g.sd = w + 2*g.padL
-	g.srcRows = h + 2*g.padT
 	g.srcPlane = g.srcRows * g.sd
 	g.dstPlane = g.oh * g.sd
 	g.span = (g.oh-1)*g.sd + g.ow
@@ -74,6 +73,14 @@ func (bp *batchParts) release() {
 	boolPool.Put(bp.hasNeg)
 	*bp = batchParts{}
 	batchPartsPool.Put(bp)
+}
+
+// partHas returns the per-sample presence flags of term's activation part.
+func (bp *batchParts) partHas(term int) []bool {
+	if term == termNegPos || term == termNegNeg {
+		return bp.hasNeg
+	}
+	return bp.hasPos
 }
 
 // quantizeBatchPadded quantizes every sample independently (per-sample
@@ -179,211 +186,15 @@ func (e *Engine) AlignCalls(next uint64) { e.calls.Store(next) }
 // through ReserveCalls to mirror a per-sample call sequence, the output is
 // bit-identical to running the planned single-sample path on each sample in
 // order. The caller must check BatchExact first; a sequentially-noisy
-// detector cannot run batch-major.
+// detector cannot run batch-major. The returned tensor is pooled scratch:
+// release-aware callers (the nn batch runner) return it with
+// tensor.PutScratch.
 func (lp *LayerPlan) ForwardBatchCalls(x *tensor.Tensor, first, stride uint64) (*tensor.Tensor, error) {
-	e := lp.engine
-	if lp.Stale() {
-		return nil, fmt.Errorf("core: %w: engine DAC/tiling config changed since PlanConv", nn.ErrStalePlan)
-	}
-	if !lp.BatchExact() {
-		return nil, fmt.Errorf("core: batch-major forward with a sequentially-noisy detector; run samples through Conv2D instead")
-	}
-	if e.NTA < 1 {
-		return nil, fmt.Errorf("core: NTA %d must be >= 1", e.NTA)
-	}
-	if x.Rank() != 4 {
-		return nil, fmt.Errorf("core: batch forward wants NCHW input, got %v", x.Shape)
-	}
-	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if cin != lp.cin {
-		return nil, fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, lp.cin, cin)
-	}
-	oh, ow := convOutHW(h, w, lp.k, lp.pad)
-	if oh < 1 || ow < 1 {
-		return nil, fmt.Errorf("core: batch conv empty output for %v k=%d", x.Shape, lp.k)
-	}
-	// Pooled and zeroed: the readout paths ACCUMULATE signed terms into the
-	// output, so recycled contents must not leak in. The caller owns the
-	// tensor; release-aware callers (the nn batch runner) return it with
-	// tensor.PutScratch.
-	out := tensor.GetScratchZeroed(n, lp.cout, oh, ow)
-	// Outage is monotonic in the call index, so the batch's largest reserved
-	// call decides for every sample at once.
-	if n > 0 {
-		if err := e.checkOutage(first + uint64(n-1)*stride); err != nil {
-			return nil, err
-		}
-	}
-	var err error
-	if lp.cfg.tiled {
-		err = lp.runTiledBatch(x, out, first, stride)
-	} else {
-		err = lp.runDirectBatch(x, out, first, stride)
-	}
-	if err != nil {
+	var r batchRangeRun
+	if err := r.begin(lp, x, 0, lp.cout, first, stride); err != nil {
 		return nil, err
 	}
-	if lp.bias != nil {
-		strideC := oh * ow
-		for b := 0; b < n; b++ {
-			for oc := 0; oc < lp.cout; oc++ {
-				base := (b*lp.cout + oc) * strideC
-				for i := 0; i < strideC; i++ {
-					out.Data[base+i] += lp.bias[oc]
-				}
-			}
-		}
-	}
-	if lp.stride > 1 {
-		s := lp.stride
-		dec := tensor.GetScratch(n, lp.cout, (oh+s-1)/s, (ow+s-1)/s)
-		if err := tensor.Decimate2DInto(dec, out, s); err != nil {
-			tensor.PutScratch(dec)
-			tensor.PutScratch(out)
-			return nil, err
-		}
-		tensor.PutScratch(out)
-		return dec, nil
-	}
-	return out, nil
-}
-
-// runDirectBatch is the batch-major direct fast path: padded per-sample
-// quantization, one weight-stationary chained-stencil sweep, then
-// per-sample calibration and fused readout+accumulation.
-func (lp *LayerPlan) runDirectBatch(x, out *tensor.Tensor, first, stride uint64) error {
-	e := lp.engine
-	n, cin := x.Shape[0], x.Shape[1]
-	oh, ow := out.Shape[2], out.Shape[3]
-	g := newPadGeom(x.Shape[2], x.Shape[3], lp.k, lp.pad)
-	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, g)
-	if err != nil {
-		return err
-	}
-	defer bp.release()
-
-	var present [numTerms]bool
-	present[termPosPos] = bp.pos != nil && lp.wpos != nil
-	present[termPosNeg] = bp.pos != nil && lp.wneg != nil
-	present[termNegPos] = bp.neg != nil && lp.wpos != nil
-	present[termNegNeg] = bp.neg != nil && lp.wneg != nil
-
-	groups := lp.cachedGroups(e.NTA)
-	detGroups := groups
-	perChannel := e.Detector.PerChannel()
-	if perChannel {
-		detGroups = lp.channelGroups()
-	}
-	workers := resolveWorkers(e.Parallelism)
-	size := n * lp.cout * g.dstPlane
-	ps := newPsumSetUncleared(present, len(detGroups), size)
-	defer ps.release()
-	if err := lp.sweepBatchDirect(bp, g, n, detGroups, ps, workers); err != nil {
-		return err
-	}
-
-	noise := e.ReadoutNoise > 0 && e.ADCBits > 0
-	cviews := getViews(len(groups))
-	for gi := range cviews {
-		cviews[gi] = getFloats(lp.cout * oh * ow)
-	}
-	defer releaseViewBuffers(cviews)
-	for term := 0; term < numTerms; term++ {
-		bufs := ps.terms[term]
-		if bufs == nil {
-			continue
-		}
-		if err := e.detectBuffers(bufs, workers); err != nil {
-			return err
-		}
-		merged := bufs
-		var pooled [][]float64
-		if perChannel {
-			pooled = mergeGroups(bufs, groups)
-			merged = pooled
-		}
-		// Per-sample activity mirrors the single-sample path's term
-		// presence: a sample without the term's activation part performs no
-		// calibration, readout, or noise draw for it.
-		partHas := bp.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = bp.hasNeg
-		}
-		sgn := termSign[term]
-		// Max-based calibration over a single operating group folds into the
-		// compaction pass (the scan visits the same values hardwareScale's
-		// calibScale would).
-		maxCalib := len(merged) == 1 && (e.ADCCalibPercentile <= 0 || e.ADCCalibPercentile >= 1)
-		for b := 0; b < n; b++ {
-			if !partHas[b] {
-				continue
-			}
-			var scale float64
-			if maxCalib {
-				m := compactPlanesMax(cviews[0], merged[0][b*lp.cout*g.dstPlane:], lp.cout, oh, g.sd, ow)
-				scale = m
-				if scale <= 0 {
-					scale = 1
-				}
-			} else {
-				for gi := range merged {
-					compactPlanes(cviews[gi], merged[gi][b*lp.cout*g.dstPlane:], lp.cout, oh, g.sd, ow)
-				}
-				scale = e.hardwareScale(cviews, cin)
-			}
-			outSample := out.Data[b*lp.cout*oh*ow : (b+1)*lp.cout*oh*ow]
-			callIdx := first + uint64(b)*stride
-			if e.Faults != nil {
-				for gi := range cviews {
-					if err := e.applyGroupFaults(callIdx, term, gi, cviews[gi], scale); err != nil {
-						return err
-					}
-				}
-			}
-			for gi := range cviews {
-				var rng *rand.Rand
-				if noise {
-					rng = e.readoutStream(callIdx, term, gi)
-				}
-				if err := e.readoutAccum(cviews[gi], scale, rng, sgn, outSample); err != nil {
-					return err
-				}
-			}
-		}
-		if pooled != nil {
-			for i, buf := range pooled {
-				putFloats(buf)
-				pooled[i] = nil
-			}
-			putViews(pooled)
-		}
-	}
-	return nil
-}
-
-// compactPlanesMax is compactPlanes with the max-magnitude scan of
-// max-based ADC calibration folded into the copy, sparing a separate pass.
-func compactPlanesMax(dst, src []float64, planes, rows, sd, ow int) float64 {
-	m := 0.0
-	di := 0
-	for p := 0; p < planes; p++ {
-		base := p * rows * sd
-		for r := 0; r < rows; r++ {
-			row := src[base+r*sd:][:ow]
-			d := dst[di:][:ow]
-			for i, v := range row {
-				d[i] = v
-				if v < 0 {
-					v = -v
-				}
-				if v > m {
-					m = v
-				}
-			}
-			di += ow
-		}
-	}
-	return m
+	return r.finish(nil)
 }
 
 // compactPlanes copies the real columns of `planes` padded output planes
@@ -400,25 +211,19 @@ func compactPlanes(dst, src []float64, planes, rows, sd, ow int) {
 	}
 }
 
-// sweepBatchDirect is the weight-stationary batched sweep: output channels
-// are the parallel work items; for each (output channel, input channel) the
-// signed quantized kernel is compacted once into positive and negative tap
-// chains, and each chain of up to three taps sweeps every sample's padded
-// plane in one register-tiled full-span pass. Per accumulator element the
-// additions arrive in (input channel, ky, kx) order with sign-matching taps
-// only (padding contributes exact +0), so each (sample, channel) output
-// plane is bit-identical to the single-sample fused sweep's.
-func (lp *LayerPlan) sweepBatchDirect(bp *batchParts, g padGeom, n int, groups [][2]int, ps *psumSet, workers int) error {
-	return lp.sweepBatchDirectRange(bp, g, n, groups, ps, workers, 0, lp.cout, lp.cout)
-}
-
-// sweepBatchDirectRange is sweepBatchDirect restricted to output channels
-// [ocLo, ocHi): channel oc lands at destination plane index oc-ocLo of
-// partial-sum buffers holding dstCout planes per sample. The full sweep is
-// the ocLo=0, ocHi=dstCout=cout case; a channel-sharded range sweep
-// produces, per in-range channel, exactly the stripes the full sweep would
-// (per-channel work items are independent).
-func (lp *LayerPlan) sweepBatchDirectRange(bp *batchParts, g padGeom, n int, groups [][2]int, ps *psumSet, workers, ocLo, ocHi, dstCout int) error {
+// sweepBatchDirect is the weight-stationary batched sweep over output
+// channels [ocLo, ocHi): output channels are the parallel work items; for
+// each (output channel, input channel) the signed quantized kernel is
+// compacted once into positive and negative tap chains, and each chain of
+// up to three taps sweeps every sample's padded plane in one register-tiled
+// full-span pass. Channel oc lands at destination plane oc-ocLo of
+// partial-sum buffers holding ocHi-ocLo planes per sample. Per accumulator
+// element the additions arrive in (input channel, ky, kx) order with
+// sign-matching taps only (padding contributes exact +0), so each (sample,
+// channel) output plane is bit-identical to the single-sample fused
+// sweep's, whatever the range (per-channel work items are independent).
+func (lp *LayerPlan) sweepBatchDirect(bp *batchParts, g padGeom, n int, groups [][2]int, ps *psumSet, workers, ocLo, ocHi int) error {
+	dstCout := ocHi - ocLo
 	cin, k := lp.cin, lp.k
 	return parallelFor(ocHi-ocLo, workers, func(item int) error {
 		oc := ocLo + item
@@ -482,7 +287,7 @@ func (lp *LayerPlan) sweepBatchDirectRange(bp *batchParts, g padGeom, n int, gro
 
 // clearPair zeroes one (output channel, group) stripe of a cross-term pair,
 // the no-contribution fallback of the store-first sweep. dstOC/dstCout
-// locate the channel's destination plane (see sweepBatchDirectRange).
+// locate the channel's destination plane (see sweepBatchDirect).
 func (lp *LayerPlan) clearPair(g padGeom, n, dstOC, dstCout int, dp, dn []float64) {
 	for b := 0; b < n; b++ {
 		dstBase := (b*dstCout + dstOC) * g.dstPlane
@@ -543,8 +348,6 @@ func (lp *LayerPlan) sweepTapChains(bp *batchParts, g padGeom, n, dstOC, dstCout
 		}
 	}
 }
-
-// runTiledBatch is implemented in planbatchtiled.go.
 
 // sweepSingle dispatches one chain over a single activation part.
 func (lp *LayerPlan) sweepSingle(d, part []float64, ch []sweepTap, z bool) {

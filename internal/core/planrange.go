@@ -1,10 +1,13 @@
-// Channel-range batch execution: the core half of output-channel sharding
-// (nn.ChannelRangePlan). One BeginBatchRange/Finish pair runs a layer's
-// batch forward restricted to output channels [ocLo, ocHi) in two phases —
-// sweep/detect first, readout second — so a multi-device scheduler can
-// exchange the per-(term, sample, hardware-group) calibration maxima
-// between the phases and read every range out against the SAME ADC full
-// scale a single engine would have derived from the whole plane.
+// The batch kernel of a LayerPlan: one run covers output channels [ocLo,
+// ocHi) of a batch in two phases — sweep/detect first (begin), readout
+// second (finish). ForwardBatchCalls is the run over [0, cout): it sees
+// whole output planes and derives every (term, sample) ADC full scale
+// locally with hardwareScale. Output-channel sharding (nn.ChannelRangePlan)
+// runs the same kernel over sub-ranges on several engines: BeginBatchRange
+// exports the per-(term, sample, hardware-group) calibration maxima after
+// phase one, and the scheduler hands the combined scales to Finish, so
+// every range reads out against the SAME ADC full scale a single engine
+// would have derived from the whole plane.
 //
 // Everything that keys noise or faults stays position-derived: the readout
 // substream of (call, term, group) is the full plane's substream, and a
@@ -13,9 +16,10 @@
 // plane order — the draws the single engine would have spent on the
 // channels below the range. Drift and stuck-bit faults are elementwise
 // given the (shared) scale and decompose trivially; the transient-misfire
-// guard inspects whole-plane statistics and is therefore refused here
-// (BeginBatchRange errors when ShotRate > 0), as is percentile ADC
-// calibration (a quantile does not decompose over channel ranges).
+// guard inspects whole-plane statistics and is therefore refused for a
+// shard (BeginBatchRange errors when ShotRate > 0), as is percentile ADC
+// calibration (a quantile does not decompose over channel ranges). The
+// full-range run sees whole planes and supports both.
 package core
 
 import (
@@ -24,7 +28,6 @@ import (
 
 	"photofourier/internal/nn"
 	"photofourier/internal/tensor"
-	"photofourier/internal/tiling"
 )
 
 // The cross-term count is part of the exchange format with nn.
@@ -35,23 +38,23 @@ var _ nn.ChannelRangePlan = (*LayerPlan)(nil)
 // OutChannels implements nn.ChannelRangePlan.
 func (lp *LayerPlan) OutChannels() int { return lp.cout }
 
-// batchRangeRun is the in-flight state between the two phases: the range's
-// detected, compacted partial sums per (term, merged group), the batch
-// activity flags, and the exported maxima. All buffers are pooled.
+// batchRangeRun is the in-flight state between the two phases: the
+// quantized batch (whose per-sample activity flags gate readout), the
+// range's detected partial sums, and (for a shard) the exported maxima.
+// All buffers are pooled.
 type batchRangeRun struct {
-	lp             *LayerPlan
-	n              int
-	ocLo, ocHi     int
-	oh, ow         int
-	first, stride  uint64
-	hasPos, hasNeg []bool
-	// views[term][gi] holds n*(ocHi-ocLo)*oh*ow compacted plane values
-	// (sample-major); nil for absent terms. For the tiled path these alias
-	// ps's buffers; for the direct path they are owned compact copies.
-	views [numTerms][][]float64
-	ps    *psumSet // non-nil on the tiled path (views alias it)
-	mx    nn.RangeMaxima
-	done  bool
+	lp            *LayerPlan
+	n             int
+	ocLo, ocHi    int
+	oh, ow        int
+	first, stride uint64
+	bp            *batchParts
+	// ps.terms[term][gi] holds, after phase one, n*(ocHi-ocLo)*oh*ow
+	// compacted plane values per merged operating group (sample-major); nil
+	// for absent terms.
+	ps   *psumSet
+	mx   nn.RangeMaxima
+	done bool
 }
 
 // BeginBatchRange implements nn.ChannelRangePlan: phase one of a
@@ -61,41 +64,55 @@ type batchRangeRun struct {
 // scheduler has combined the maxima of every range.
 func (lp *LayerPlan) BeginBatchRange(x *tensor.Tensor, ocLo, ocHi int, first, stride uint64) (nn.ChannelRangeRun, error) {
 	e := lp.engine
-	if lp.Stale() {
-		return nil, fmt.Errorf("core: %w: engine DAC/tiling config changed since PlanConv", nn.ErrStalePlan)
-	}
-	if !lp.BatchExact() {
-		return nil, fmt.Errorf("core: channel-range forward with a sequentially-noisy detector")
-	}
-	if e.NTA < 1 {
-		return nil, fmt.Errorf("core: NTA %d must be >= 1", e.NTA)
-	}
 	if p := e.ADCCalibPercentile; p > 0 && p < 1 {
 		return nil, fmt.Errorf("core: percentile ADC calibration (%.3f) does not decompose over channel ranges", p)
 	}
 	if e.Faults != nil && e.Faults.ShotRate > 0 {
 		return nil, fmt.Errorf("core: transient-misfire guard needs whole readout planes; cannot channel-shard with shot faults")
 	}
+	r := &batchRangeRun{}
+	if err := r.begin(lp, x, ocLo, ocHi, first, stride); err != nil {
+		return nil, err
+	}
+	r.exportMaxima()
+	return r, nil
+}
+
+// begin validates a batch forward over output channels [ocLo, ocHi) and
+// runs phase one. On error the run holds no pooled buffers.
+func (r *batchRangeRun) begin(lp *LayerPlan, x *tensor.Tensor, ocLo, ocHi int, first, stride uint64) error {
+	e := lp.engine
+	if lp.Stale() {
+		return fmt.Errorf("core: %w: engine DAC/tiling config changed since PlanConv", nn.ErrStalePlan)
+	}
+	if !lp.BatchExact() {
+		return fmt.Errorf("core: batch-major forward with a sequentially-noisy detector; run samples through Conv2D instead")
+	}
+	if e.NTA < 1 {
+		return fmt.Errorf("core: NTA %d must be >= 1", e.NTA)
+	}
 	if x.Rank() != 4 {
-		return nil, fmt.Errorf("core: channel-range forward wants NCHW input, got %v", x.Shape)
+		return fmt.Errorf("core: %w: batch forward wants NCHW input, got %v", nn.ErrShapeMismatch, x.Shape)
 	}
 	if ocLo < 0 || ocHi <= ocLo || ocHi > lp.cout {
-		return nil, fmt.Errorf("core: channel range [%d,%d) out of [0,%d)", ocLo, ocHi, lp.cout)
+		return fmt.Errorf("core: channel range [%d,%d) out of [0,%d)", ocLo, ocHi, lp.cout)
 	}
 	n, cin := x.Shape[0], x.Shape[1]
 	if cin != lp.cin {
-		return nil, fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, lp.cin, cin)
+		return fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, lp.cin, cin)
 	}
 	oh, ow := convOutHW(x.Shape[2], x.Shape[3], lp.k, lp.pad)
 	if oh < 1 || ow < 1 {
-		return nil, fmt.Errorf("core: channel-range conv empty output for %v k=%d", x.Shape, lp.k)
+		return fmt.Errorf("core: batch conv empty output for %v k=%d", x.Shape, lp.k)
 	}
+	// Outage is monotonic in the call index, so the batch's largest reserved
+	// call decides for every sample at once.
 	if n > 0 {
 		if err := e.checkOutage(first + uint64(n-1)*stride); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	r := &batchRangeRun{lp: lp, n: n, ocLo: ocLo, ocHi: ocHi, oh: oh, ow: ow, first: first, stride: stride}
+	*r = batchRangeRun{lp: lp, n: n, ocLo: ocLo, ocHi: ocHi, oh: oh, ow: ow, first: first, stride: stride}
 	var err error
 	if lp.cfg.tiled {
 		err = r.beginTiled(x)
@@ -104,40 +121,11 @@ func (lp *LayerPlan) BeginBatchRange(x *tensor.Tensor, ocLo, ocHi int, first, st
 	}
 	if err != nil {
 		r.Release()
-		return nil, err
 	}
-	return r, nil
+	return err
 }
 
-// hardwareChunk mirrors hardwareScale's merge of operating groups into
-// hardware accumulation groups: per operating groups per chunk, count
-// chunks total.
-func (lp *LayerPlan) hardwareChunk(nGroups int) (per, count int) {
-	e := lp.engine
-	hwDepth := hardwareAccumulationDepth
-	if e.NTA > hwDepth {
-		hwDepth = e.NTA
-	}
-	if hwDepth > lp.cin {
-		hwDepth = lp.cin
-	}
-	per = (hwDepth + e.NTA - 1) / e.NTA
-	if per < 1 {
-		per = 1
-	}
-	return per, (nGroups + per - 1) / per
-}
-
-// retain copies the batch activity flags out of bp (which is released at
-// the end of phase one) into pooled slices the run owns.
-func (r *batchRangeRun) retain(bp *batchParts) {
-	r.hasPos = boolPool.Get(r.n)
-	r.hasNeg = boolPool.Get(r.n)
-	copy(r.hasPos, bp.hasPos)
-	copy(r.hasNeg, bp.hasNeg)
-}
-
-// exportMaxima scans the compacted range views into the run's raw
+// exportMaxima scans the compacted range planes into the run's raw
 // calibration maxima: for every present term and active sample, the
 // maximum absolute accumulated charge of each hardware group over the
 // range. Summing the chunk's operating-group planes elementwise before the
@@ -148,7 +136,8 @@ func (r *batchRangeRun) exportMaxima() {
 	rc := r.ocHi - r.ocLo
 	plane := rc * r.oh * r.ow
 	nGroups := len(lp.cachedGroups(lp.engine.NTA))
-	per, hw := lp.hardwareChunk(nGroups)
+	per := lp.engine.hardwareGroupSize(lp.cin)
+	hw := (nGroups + per - 1) / per
 	r.mx = nn.RangeMaxima{Samples: r.n, Groups: hw}
 	var acc []float64
 	if per > 1 && nGroups > 1 {
@@ -156,15 +145,12 @@ func (r *batchRangeRun) exportMaxima() {
 		defer putFloats(acc)
 	}
 	for term := 0; term < numTerms; term++ {
-		views := r.views[term]
+		views := r.ps.terms[term]
 		if views == nil {
 			continue
 		}
 		maxima := make([]float64, r.n*hw)
-		partHas := r.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = r.hasNeg
-		}
+		partHas := r.bp.partHas(term)
 		for b := 0; b < r.n; b++ {
 			if !partHas[b] {
 				continue
@@ -210,7 +196,9 @@ func maxAbs(data []float64) float64 {
 // beginDirect is phase one on the direct path: padded quantization of the
 // FULL input (per-sample scales and activity are range-independent), a
 // range-restricted store-first sweep, detection, per-channel merge where
-// the detector wants it, and compaction into owned buffers.
+// the detector wants it, and compaction of every active sample's planes in
+// place (each row moves to an offset no greater than its own, so the
+// forward copy never overwrites a row it has yet to read).
 func (r *batchRangeRun) beginDirect(x *tensor.Tensor) error {
 	lp, e := r.lp, r.lp.engine
 	n, rc := r.n, r.ocHi-r.ocLo
@@ -219,8 +207,7 @@ func (r *batchRangeRun) beginDirect(x *tensor.Tensor) error {
 	if err != nil {
 		return err
 	}
-	defer bp.release()
-	r.retain(bp)
+	r.bp = bp
 
 	var present [numTerms]bool
 	present[termPosPos] = bp.pos != nil && lp.wpos != nil
@@ -235,10 +222,9 @@ func (r *batchRangeRun) beginDirect(x *tensor.Tensor) error {
 		detGroups = lp.channelGroups()
 	}
 	workers := resolveWorkers(e.Parallelism)
-	size := n * rc * g.dstPlane
-	ps := newPsumSetUncleared(present, len(detGroups), size)
-	defer ps.release()
-	if err := lp.sweepBatchDirectRange(bp, g, n, detGroups, ps, workers, r.ocLo, r.ocHi, rc); err != nil {
+	ps := newPsumSetUncleared(present, len(detGroups), n*rc*g.dstPlane)
+	r.ps = ps
+	if err := lp.sweepBatchDirect(bp, g, n, detGroups, ps, workers, r.ocLo, r.ocHi); err != nil {
 		return err
 	}
 
@@ -251,239 +237,157 @@ func (r *batchRangeRun) beginDirect(x *tensor.Tensor) error {
 		if err := e.detectBuffers(bufs, workers); err != nil {
 			return err
 		}
-		merged := bufs
-		var pooled [][]float64
 		if perChannel {
-			pooled = mergeGroups(bufs, groups)
-			merged = pooled
+			merged := mergeGroups(bufs, groups)
+			releaseViewBuffers(bufs)
+			ps.terms[term] = merged
+			bufs = merged
 		}
-		partHas := bp.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = bp.hasNeg
-		}
-		views := getViews(len(merged))
-		for gi := range merged {
-			views[gi] = getFloats(n * plane)
+		partHas := r.bp.partHas(term)
+		for _, buf := range bufs {
 			for b := 0; b < n; b++ {
-				if !partHas[b] {
-					continue
+				if partHas[b] {
+					compactPlanes(buf[b*plane:], buf[b*rc*g.dstPlane:], rc, r.oh, g.sd, r.ow)
 				}
-				compactPlanes(views[gi][b*plane:], merged[gi][b*rc*g.dstPlane:], rc, r.oh, g.sd, r.ow)
 			}
 		}
-		r.views[term] = views
-		if pooled != nil {
-			for i, buf := range pooled {
-				putFloats(buf)
-				pooled[i] = nil
-			}
-			putViews(pooled)
-		}
 	}
-	r.exportMaxima()
-	return nil
-}
-
-// accTableForRange is accTableFor over output channels [ocLo, ocHi): the
-// (sample, kernel) table addresses rc-channel range planes.
-func accTableForRange(ps *psumSet, bp *batchParts, term, gi, n, rc, plane int) [][]float64 {
-	bufs := ps.terms[term]
-	if bufs == nil {
-		return nil
-	}
-	accs := getViewsZeroed(n * rc)
-	partHas := bp.hasPos
-	if term == termNegPos || term == termNegNeg {
-		partHas = bp.hasNeg
-	}
-	for b := 0; b < n; b++ {
-		if !partHas[b] {
-			continue
-		}
-		for j := 0; j < rc; j++ {
-			off := (b*rc + j) * plane
-			accs[b*rc+j] = bufs[gi][off : off+plane]
-		}
-	}
-	return accs
-}
-
-// tiledBatchGroupRange is tiledBatchGroup with the kernel and accumulator
-// tables restricted to output channels [ocLo, ocHi): only the range's
-// kernels are correlated (and counted as shots), and each accumulator
-// receives exactly the additions the full-plane executor would deliver to
-// that (sample, channel) plane, in the same shot order.
-func (lp *LayerPlan) tiledBatchGroupRange(bp *batchParts, geo *layerGeo, ps *psumSet, g [2]int, gi, n, cin, h, w, oh, ow, ocLo, ocHi int) error {
-	rc := ocHi - ocLo
-	rowsPos, rowsPosFlat := rowTableFor(bp.pos, bp.hasPos, n, h)
-	rowsNeg, rowsNegFlat := rowTableFor(bp.neg, bp.hasNeg, n, h)
-	var kbufPos, kbufNeg []*tiling.KernelPlan
-	if geo.kpos != nil {
-		kbufPos = kernelPlanPool.Get(rc)
-	}
-	if geo.kneg != nil {
-		kbufNeg = kernelPlanPool.Get(rc)
-	}
-	op, _ := batchOperandsPool.Get().(*tiling.BatchConvOperands)
-	if op == nil {
-		op = &tiling.BatchConvOperands{}
-	}
-	op.KPos, op.KNeg = kbufPos, kbufNeg
-	op.Accs[0] = accTableForRange(ps, bp, termPosPos, gi, n, rc, oh*ow)
-	op.Accs[1] = accTableForRange(ps, bp, termPosNeg, gi, n, rc, oh*ow)
-	op.Accs[2] = accTableForRange(ps, bp, termNegPos, gi, n, rc, oh*ow)
-	op.Accs[3] = accTableForRange(ps, bp, termNegNeg, gi, n, rc, oh*ow)
-	for ic := g[0]; ic < g[1]; ic++ {
-		op.Pos = bindSampleRows(rowsPos, bp.pos, ic, n, cin, h, w)
-		op.Neg = bindSampleRows(rowsNeg, bp.neg, ic, n, cin, h, w)
-		if kbufPos != nil {
-			for j := 0; j < rc; j++ {
-				kbufPos[j] = geo.kpos[(ocLo+j)*cin+ic]
-			}
-		}
-		if kbufNeg != nil {
-			for j := 0; j < rc; j++ {
-				kbufNeg[j] = geo.kneg[(ocLo+j)*cin+ic]
-			}
-		}
-		if err := geo.tp.Conv2DPlannedAccumBatch(op); err != nil {
-			return err
-		}
-	}
-	for i, accs := range op.Accs {
-		if accs != nil {
-			clear(accs)
-			putViews(accs)
-			op.Accs[i] = nil
-		}
-	}
-	if rowsPosFlat != nil {
-		clear(rowsPosFlat)
-		putViews(rowsPosFlat)
-		clear(rowsPos)
-		rowTabPool.Put(rowsPos)
-	}
-	if rowsNegFlat != nil {
-		clear(rowsNegFlat)
-		putViews(rowsNegFlat)
-		clear(rowsNeg)
-		rowTabPool.Put(rowsNeg)
-	}
-	if kbufPos != nil {
-		clear(kbufPos)
-		kernelPlanPool.Put(kbufPos)
-	}
-	if kbufNeg != nil {
-		clear(kbufNeg)
-		kernelPlanPool.Put(kbufNeg)
-	}
-	*op = tiling.BatchConvOperands{}
-	batchOperandsPool.Put(op)
 	return nil
 }
 
 // beginTiled is phase one on the tiled path: the range's psum buffers are
-// already compact (oh*ow planes), so the run's views alias them and the
-// set is retained until Finish.
+// already compact (oh*ow planes), so detection is all that follows the
+// sweep.
 func (r *batchRangeRun) beginTiled(x *tensor.Tensor) error {
 	lp, e := r.lp, r.lp.engine
 	n, rc := r.n, r.ocHi-r.ocLo
 	cin, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow, ocLo, ocHi := r.oh, r.ow, r.ocLo, r.ocHi
 	flat := padGeom{h: h, w: w, sd: w, srcRows: h, srcPlane: h * w}
 	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, flat)
 	if err != nil {
 		return err
 	}
-	defer bp.release()
-	r.retain(bp)
+	r.bp = bp
 	geo, err := lp.geometry(h, w)
 	if err != nil {
 		return err
 	}
 	groups := lp.cachedGroups(e.NTA)
 	workers := resolveWorkers(e.Parallelism)
-	size := n * rc * r.oh * r.ow
 
 	var present [numTerms]bool
 	present[termPosPos] = bp.pos != nil && geo.kpos != nil
 	present[termPosNeg] = bp.pos != nil && geo.kneg != nil
 	present[termNegPos] = bp.neg != nil && geo.kpos != nil
 	present[termNegNeg] = bp.neg != nil && geo.kneg != nil
-	ps := newPsumSet(present, len(groups), size)
+	ps := newPsumSet(present, len(groups), n*rc*oh*ow)
 	r.ps = ps
 
-	run := func(gi int) error {
-		return lp.tiledBatchGroupRange(bp, geo, ps, groups[gi], gi, n, cin, h, w, r.oh, r.ow, r.ocLo, r.ocHi)
-	}
+	// Groups are the sweep's parallel axis: each group's partial-sum
+	// buffers are disjoint, and the shot→kernel→sample arena reuse inside
+	// Conv2DPlannedAccumBatch stays intact per group (chunking output
+	// channels instead would re-transform signals per chunk). The serial
+	// case loops directly so the dispatch closure never materializes.
 	if workers <= 1 || len(groups) == 1 {
 		for gi := range groups {
-			if err := run(gi); err != nil {
+			if err := lp.tiledBatchGroup(bp, geo, ps, groups[gi], gi, n, cin, h, w, oh, ow, ocLo, ocHi); err != nil {
 				return err
 			}
 		}
-	} else if err := parallelFor(len(groups), workers, run); err != nil {
+	} else if err := parallelFor(len(groups), workers, func(gi int) error {
+		return lp.tiledBatchGroup(bp, geo, ps, groups[gi], gi, n, cin, h, w, oh, ow, ocLo, ocHi)
+	}); err != nil {
 		return err
 	}
 
-	for term := 0; term < numTerms; term++ {
-		bufs := ps.terms[term]
+	for _, bufs := range ps.terms {
 		if bufs == nil {
 			continue
 		}
 		if err := e.detectBuffers(bufs, workers); err != nil {
 			return err
 		}
-		r.views[term] = bufs
 	}
-	r.exportMaxima()
 	return nil
 }
 
 // Maxima implements nn.ChannelRangeRun.
 func (r *batchRangeRun) Maxima() nn.RangeMaxima { return r.mx }
 
-// Finish implements nn.ChannelRangeRun: phase two reads the range out
-// against the combined scales — elementwise faults, position-derived keyed
-// noise with the range's leading draws discarded, signed accumulation,
-// bias, and stride decimation — and consumes the run.
+// Finish implements nn.ChannelRangeRun: phase two of a shard, read out
+// against the combined scales of every range. It consumes the run.
 func (r *batchRangeRun) Finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
+	if scales == nil {
+		r.Release()
+		return nil, fmt.Errorf("core: %w: channel-range Finish without combined scales", nn.ErrShapeMismatch)
+	}
+	return r.finish(scales)
+}
+
+// checkScales verifies that combined scales cover every present term of
+// the run's batch.
+func (r *batchRangeRun) checkScales(scales *nn.RangeScales) error {
+	if scales.Samples != r.n {
+		return fmt.Errorf("core: %w: channel-range scales sized for %d samples, want %d", nn.ErrShapeMismatch, scales.Samples, r.n)
+	}
+	for term, bufs := range r.ps.terms {
+		if bufs != nil && len(scales.Terms[term]) != r.n {
+			return fmt.Errorf("core: %w: combined scales hold %d entries for present term %d, want %d",
+				nn.ErrShapeMismatch, len(scales.Terms[term]), term, r.n)
+		}
+	}
+	return nil
+}
+
+// finish is phase two: elementwise faults, position-derived keyed noise
+// with the range's leading draws discarded, signed accumulation, bias, and
+// stride decimation; it consumes the run. scales are a shard's combined
+// per-(term, sample) ADC full scales; nil means the run covers whole planes
+// and each scale comes from hardwareScale over the sample's own group
+// planes, exactly as the per-sample path derives it.
+func (r *batchRangeRun) finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
 	if r.done {
 		return nil, fmt.Errorf("core: channel-range run already finished")
 	}
 	defer r.Release()
 	lp, e := r.lp, r.lp.engine
 	n, rc := r.n, r.ocHi-r.ocLo
-	plane := rc * r.oh * r.ow
-	if scales == nil || scales.Samples != n {
-		return nil, fmt.Errorf("core: channel-range scales missing or sized for %d samples, want %d", scalesLen(scales), n)
+	if scales != nil {
+		if err := r.checkScales(scales); err != nil {
+			return nil, err
+		}
 	}
+	plane := rc * r.oh * r.ow
 	noise := e.ReadoutNoise > 0 && e.ADCBits > 0
 	skip := r.ocLo * r.oh * r.ow
 	out := tensor.GetScratchZeroed(n, rc, r.oh, r.ow)
-	for term := 0; term < numTerms; term++ {
-		views := r.views[term]
-		if views == nil {
+	views := getViews(len(lp.cachedGroups(e.NTA)))
+	defer putViews(views)
+	for term, bufs := range r.ps.terms {
+		if bufs == nil {
 			continue
 		}
-		if scales.Terms[term] == nil {
-			tensor.PutScratch(out)
-			return nil, fmt.Errorf("core: combined scales lack present term %d", term)
-		}
-		partHas := r.hasPos
-		if term == termNegPos || term == termNegNeg {
-			partHas = r.hasNeg
-		}
+		partHas := r.bp.partHas(term)
 		sgn := termSign[term]
 		for b := 0; b < n; b++ {
 			if !partHas[b] {
 				continue
 			}
-			scale := scales.Terms[term][b]
+			for gi := range views {
+				views[gi] = bufs[gi][b*plane : (b+1)*plane]
+			}
+			var scale float64
+			if scales != nil {
+				scale = scales.Terms[term][b]
+			} else {
+				scale = e.hardwareScale(views, lp.cin)
+			}
 			callIdx := r.first + uint64(b)*r.stride
 			outSample := out.Data[b*plane : (b+1)*plane]
 			if e.Faults != nil {
 				for gi := range views {
-					if err := e.applyGroupFaults(callIdx, term, gi, views[gi][b*plane:(b+1)*plane], scale); err != nil {
+					if err := e.applyGroupFaults(callIdx, term, gi, views[gi], scale); err != nil {
 						tensor.PutScratch(out)
 						return nil, err
 					}
@@ -497,7 +401,7 @@ func (r *batchRangeRun) Finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
 						rng.NormFloat64()
 					}
 				}
-				if err := e.readoutAccum(views[gi][b*plane:(b+1)*plane], scale, rng, sgn, outSample); err != nil {
+				if err := e.readoutAccum(views[gi], scale, rng, sgn, outSample); err != nil {
 					tensor.PutScratch(out)
 					return nil, err
 				}
@@ -530,45 +434,21 @@ func (r *batchRangeRun) Finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-func scalesLen(s *nn.RangeScales) int {
-	if s == nil {
-		return 0
-	}
-	return s.Samples
-}
-
 // Release implements nn.ChannelRangeRun: every pooled buffer returns to
-// its pool; idempotent.
+// its pool; idempotent. The quantized inputs go back last, so the next
+// batch's first requests (its own inputs) draw them again from the
+// unbucketed float pool instead of dropping mismatched partial-sum buffers.
 func (r *batchRangeRun) Release() {
 	if r.done {
 		return
 	}
 	r.done = true
 	if r.ps != nil {
-		// Tiled path: the views alias the set's buffers.
 		r.ps.release()
 		r.ps = nil
-		for t := range r.views {
-			r.views[t] = nil
-		}
 	}
-	for t, views := range r.views {
-		if views == nil {
-			continue
-		}
-		for i, v := range views {
-			putFloats(v)
-			views[i] = nil
-		}
-		putViews(views)
-		r.views[t] = nil
-	}
-	if r.hasPos != nil {
-		boolPool.Put(r.hasPos)
-		r.hasPos = nil
-	}
-	if r.hasNeg != nil {
-		boolPool.Put(r.hasNeg)
-		r.hasNeg = nil
+	if r.bp != nil {
+		r.bp.release()
+		r.bp = nil
 	}
 }

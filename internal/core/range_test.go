@@ -8,6 +8,7 @@ package core
 // elementwise faults.
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -169,4 +170,61 @@ func TestChannelRangeRejections(t *testing.T) {
 			t.Fatalf("range [%d,%d) must be rejected", r[0], r[1])
 		}
 	}
+}
+
+// TestChannelRangeFinishRejectsMalformedScales: combined scales come from
+// the scheduler, so scales that do not cover the run's batch must come back
+// as ErrShapeMismatch, never as an index panic.
+func TestChannelRangeFinishRejectsMalformedScales(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	x := tensor.New(3, 2, 8, 8)
+	x.RandN(rng, 1)
+	w := tensor.New(4, 2, 3, 3)
+	w.RandN(rng, 0.5)
+	p, err := NewEngine().PlanConv(w, nil, 1, tensor.Same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := p.(*LayerPlan)
+	begin := func() (nn.ChannelRangeRun, *nn.RangeScales) {
+		run, err := lp.BeginBatchRange(x, 1, 3, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scales, err := nn.CombineRangeScales([]nn.RangeMaxima{run.Maxima()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scales.Terms[termPosPos] == nil {
+			t.Fatal("fixture lacks the (+x,+w) term")
+		}
+		return run, scales
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(s *nn.RangeScales) *nn.RangeScales
+	}{
+		{"nil scales", func(*nn.RangeScales) *nn.RangeScales { return nil }},
+		{"sample count", func(s *nn.RangeScales) *nn.RangeScales { s.Samples = 2; return s }},
+		{"short term slice", func(s *nn.RangeScales) *nn.RangeScales {
+			s.Terms[termPosPos] = s.Terms[termPosPos][:2]
+			return s
+		}},
+		{"nil present term", func(s *nn.RangeScales) *nn.RangeScales { s.Terms[termPosPos] = nil; return s }},
+	} {
+		run, scales := begin()
+		out, err := run.Finish(tc.edit(scales))
+		if !errors.Is(err, nn.ErrShapeMismatch) {
+			t.Errorf("%s: got (%v, %v), want an ErrShapeMismatch error", tc.name, out, err)
+		}
+		if _, err := run.Finish(scales); err == nil {
+			t.Errorf("%s: a rejected Finish must still consume the run", tc.name)
+		}
+	}
+	run, scales := begin()
+	out, err := run.Finish(scales)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensor.PutScratch(out)
 }

@@ -56,20 +56,29 @@ type RangeScales struct {
 // per hardware group the full-plane maximum is the max over ranges (exact
 // for disjoint ranges), a chargeless group calibrates to scale 1, and the
 // term scale is the maximum over hardware groups — the max-fold
-// core.hardwareScale performs over its per-group calibrations.
+// core.hardwareScale performs over its per-group calibrations. Maxima
+// whose geometry, term presence or slice lengths disagree return an error
+// wrapping ErrShapeMismatch.
 func CombineRangeScales(parts []RangeMaxima) (*RangeScales, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("nn: combine scales of zero ranges")
 	}
 	ref := parts[0]
-	for _, p := range parts[1:] {
+	if ref.Samples < 0 || ref.Groups < 0 {
+		return nil, fmt.Errorf("nn: %w: range maxima geometry (%d,%d) is negative", ErrShapeMismatch, ref.Samples, ref.Groups)
+	}
+	for i, p := range parts {
 		if p.Samples != ref.Samples || p.Groups != ref.Groups {
-			return nil, fmt.Errorf("nn: range maxima disagree on geometry: (%d,%d) vs (%d,%d)",
-				p.Samples, p.Groups, ref.Samples, ref.Groups)
+			return nil, fmt.Errorf("nn: %w: range maxima disagree on geometry: (%d,%d) vs (%d,%d)",
+				ErrShapeMismatch, p.Samples, p.Groups, ref.Samples, ref.Groups)
 		}
 		for t := range p.Terms {
 			if (p.Terms[t] == nil) != (ref.Terms[t] == nil) {
-				return nil, fmt.Errorf("nn: range maxima disagree on term %d presence", t)
+				return nil, fmt.Errorf("nn: %w: range maxima disagree on term %d presence", ErrShapeMismatch, t)
+			}
+			if p.Terms[t] != nil && len(p.Terms[t]) != p.Samples*p.Groups {
+				return nil, fmt.Errorf("nn: %w: range %d holds %d maxima for term %d, want %d",
+					ErrShapeMismatch, i, len(p.Terms[t]), t, p.Samples*p.Groups)
 			}
 		}
 	}
@@ -123,6 +132,8 @@ type ChannelRangeRun interface {
 // two-phase channel-sharded batch forward over output channels [ocLo,
 // ocHi). first/stride key per-sample readout substreams exactly as
 // ForwardBatchCalls would; the range restriction never changes a key.
+// Both entry points share one kernel: ForwardBatchCalls is the range [0,
+// cout) with its scales computed locally, so no maxima are exchanged.
 type ChannelRangePlan interface {
 	// OutChannels is the layer's full output channel count.
 	OutChannels() int

@@ -55,7 +55,10 @@ type LayerPlanner interface {
 // batch as if each sample had been run through Conv2D alone — per-sample
 // operand quantization scales, per-sample readout calibration, and
 // per-sample noise substreams — while executing batch-major (weights walked
-// once per batch, the whole batch resident per pipeline stage).
+// once per batch, the whole batch resident per pipeline stage). In
+// core.LayerPlan it is the channel-range kernel of ChannelRangePlan run
+// over all output channels [0, cout), with every ADC full scale derived
+// locally from the whole plane instead of exchanged.
 //
 // Sample i keys its readout-noise substreams by the virtual call index
 // first + i*stride. Callers reserve the index block through ReserveCalls so

@@ -193,22 +193,6 @@ type (
 	LayerPlan = nn.LayerPlan
 )
 
-// NewRowTiledEngine builds a row-tiled engine with the given 1D aperture
-// (256 in the paper's PFCU).
-//
-// Deprecated: use Open("rowtiled?aperture=N") or
-// OpenWith("rowtiled", WithAperture(N)); registry-opened engines are
-// immutable and carry capabilities and a canonical spec.
-func NewRowTiledEngine(nconv int) *RowTiledEngine { return core.NewRowTiledEngine(nconv) }
-
-// NewAcceleratorEngine builds the accelerator engine at the paper's default
-// operating point (NTA=16, 8-bit ADC/DAC).
-//
-// Deprecated: use Open("accelerator") or OpenWith("accelerator", ...);
-// registry-opened engines are immutable and carry capabilities and a
-// canonical spec.
-func NewAcceleratorEngine() *AcceleratorEngine { return core.NewEngine() }
-
 // Whole-network compiled inference (see DESIGN.md).
 type (
 	// Network is the trainable CNN the accuracy studies run
