@@ -179,13 +179,99 @@ func TestForwardBatchCallsTiledBitIdentityAndPacking(t *testing.T) {
 		}
 		checkShotFaultsFired(t, eA, tc.faults)
 		checkShotFaultsFired(t, eB, tc.faults)
-		t.Logf("case %+v: per-sample shots %d, packed batch shots %d", tc, perSampleShots, batchShots)
+		// Per-sample Conv2D runs the same packed schedule at n=1, so a plan
+		// that packs within one sample (partial row tiling) packs its
+		// per-sample baseline too. Packing is judged against the unpacked
+		// per-sample count: the measured one scaled by the plan's
+		// UnpackedShots/PackedShots ratio at n=1 (1 unless it packs).
+		geo, err := lpA.geometry(tc.h, tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := geo.tp.PlanBatch(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unpackedShots := perSampleShots * int64(one.UnpackedShots()) / int64(one.Shots())
+		t.Logf("case %+v: per-sample shots %d (unpacked %d), packed batch shots %d", tc, perSampleShots, unpackedShots, batchShots)
 		if batchShots > perSampleShots {
 			t.Errorf("case %+v: packed schedule issued MORE shots: %d vs %d", tc, batchShots, perSampleShots)
 		}
-		if tc.packs && batchShots >= perSampleShots {
-			t.Errorf("case %+v: packing bought nothing: %d vs %d", tc, batchShots, perSampleShots)
+		if tc.packs && batchShots >= unpackedShots {
+			t.Errorf("case %+v: packing bought nothing: %d vs %d unpacked", tc, batchShots, unpackedShots)
 		}
+	}
+}
+
+// TestConv2DShotsFollowPackedSchedule pins the one shot model: a tiled
+// planned Conv2D advances jtc.Shots by the packed BatchPlan schedule of its
+// calibration domain — PackedShots(n) apertures per (input channel,
+// activation part, latched kernel) — so single calls and batches count
+// shots the same way. perKernel pins PackedShots(n) itself where a regime
+// packs within one sample (partial row tiling) or routes around
+// quarantined dead aperture rows.
+func TestConv2DShotsFollowPackedSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, tc := range []struct {
+		name                      string
+		n, cin, cout, h, w, nconv int
+		pad                       tensor.PadMode
+		faults                    string
+		rectified                 bool
+		perKernel                 int
+	}{
+		{"partial-rows-n1", 1, 2, 3, 10, 16, 40, tensor.Valid, "", false, 12},
+		{"partial-rows-n4", 4, 2, 3, 10, 16, 40, tensor.Valid, "", false, 48},
+		{"row-tiling-n3", 3, 3, 4, 16, 16, 256, tensor.Same, "", false, 0},
+		{"row-tiling-rectified", 2, 3, 2, 16, 16, 256, tensor.Same, "", true, 0},
+		{"dead-rows", 1, 3, 2, 32, 32, 256, tensor.Valid, "deadrow:1;deadrow:2", false, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := tensor.New(tc.n, tc.cin, tc.h, tc.w)
+			x.RandN(rng, 1)
+			parts := 2
+			if tc.rectified {
+				for i, v := range x.Data {
+					x.Data[i] = max(v, 0)
+				}
+				parts = 1
+			}
+			wt := tensor.New(tc.cout, tc.cin, 3, 3)
+			wt.RandN(rng, 0.5)
+			e := NewEngine()
+			e.UseTiledPath = true
+			e.NConv = tc.nconv
+			if tc.faults != "" {
+				inj, err := fault.Parse(tc.faults, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Faults = inj
+			}
+			p, err := e.PlanConv(wt, nil, 1, tc.pad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lp := p.(*LayerPlan)
+			geo, err := lp.geometry(tc.h, tc.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed := geo.tp.PackedShots(tc.n)
+			if tc.perKernel != 0 && packed != tc.perKernel {
+				t.Fatalf("PackedShots(%d) = %d, want %d", tc.n, packed, tc.perKernel)
+			}
+			shots0 := jtc.Shots()
+			if _, err := lp.Conv2D(x); err != nil {
+				t.Fatal(err)
+			}
+			// Random weights carry both signs, so every output channel
+			// latches two kernels per input channel.
+			want := int64(tc.cin * parts * packed * 2 * tc.cout)
+			if got := jtc.Shots() - shots0; got != want {
+				t.Fatalf("Conv2D fired %d shots, want %d (%d per kernel)", got, want, packed)
+			}
+		})
 	}
 }
 

@@ -95,6 +95,9 @@ func (e *RowTiledEngine) plan(h, w, k int, pad tensor.PadMode) (*tiling.Plan, er
 // its input channels in a fixed order into a disjoint output region, so the
 // result is bit-identical at any worker count.
 func (e *RowTiledEngine) Conv2D(input, weight *tensor.Tensor, bias []float64, stride int, pad tensor.PadMode) (*tensor.Tensor, error) {
+	if err := checkConv(input, weight, bias, stride, pad); err != nil {
+		return nil, err
+	}
 	return e.conv2D(input, weight, bias, stride, pad, resolveWorkers(e.Parallelism))
 }
 
@@ -317,11 +320,11 @@ func (e *Engine) Conv2D(input, weight *tensor.Tensor, bias []float64, stride int
 	if e.NTA < 1 {
 		return nil, fmt.Errorf("core: NTA %d must be >= 1", e.NTA)
 	}
+	if err := checkConv(input, weight, bias, stride, pad); err != nil {
+		return nil, err
+	}
 	n, cin, h, w := input.Shape[0], input.Shape[1], input.Shape[2], input.Shape[3]
 	cout, k := weight.Shape[0], weight.Shape[2]
-	if weight.Shape[1] != cin {
-		return nil, fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, weight.Shape[1], cin)
-	}
 	// Quantize operands to DAC precision and split signs: activations and
 	// weights each decompose into non-negative (positive, negative) parts;
 	// the four cross terms recombine digitally with the right signs.
@@ -839,6 +842,51 @@ func groupRanges(cin, nta int) [][2]int {
 		out = append(out, [2]int{from, to})
 	}
 	return out
+}
+
+// checkConvLayer validates a layer's weights, bias and stride: the checks
+// every conv entry point (Engine and RowTiledEngine Conv2D, PlanConv)
+// shares, so malformed layers return errors instead of panicking inside a
+// sweep. Shape errors wrap nn.ErrShapeMismatch.
+func checkConvLayer(weight *tensor.Tensor, bias []float64, stride int) error {
+	if weight.Rank() != 4 {
+		return fmt.Errorf("core: %w: conv wants [Cout][Cin][K][K] weights, got %v", nn.ErrShapeMismatch, weight.Shape)
+	}
+	if weight.Shape[2] != weight.Shape[3] {
+		return fmt.Errorf("core: %w: conv wants square kernels, got %v", nn.ErrShapeMismatch, weight.Shape)
+	}
+	if bias != nil && len(bias) != weight.Shape[0] {
+		return fmt.Errorf("core: %w: %d bias values for %d output channels", nn.ErrShapeMismatch, len(bias), weight.Shape[0])
+	}
+	if stride < 1 {
+		return fmt.Errorf("core: stride %d must be >= 1", stride)
+	}
+	return nil
+}
+
+// checkConvInput validates an NCHW input against a layer of cin input
+// channels and k x k kernels, returning the unit-stride output size.
+func checkConvInput(x *tensor.Tensor, cin, k int, pad tensor.PadMode) (oh, ow int, err error) {
+	if x.Rank() != 4 {
+		return 0, 0, fmt.Errorf("core: %w: conv wants NCHW input, got %v", nn.ErrShapeMismatch, x.Shape)
+	}
+	if x.Shape[1] != cin {
+		return 0, 0, fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, cin, x.Shape[1])
+	}
+	oh, ow = convOutHW(x.Shape[2], x.Shape[3], k, pad)
+	if oh < 1 || ow < 1 {
+		return 0, 0, fmt.Errorf("core: %w: conv empty output for %v k=%d", nn.ErrShapeMismatch, x.Shape, k)
+	}
+	return oh, ow, nil
+}
+
+// checkConv is checkConvLayer followed by checkConvInput.
+func checkConv(input, weight *tensor.Tensor, bias []float64, stride int, pad tensor.PadMode) error {
+	if err := checkConvLayer(weight, bias, stride); err != nil {
+		return err
+	}
+	_, _, err := checkConvInput(input, weight.Shape[1], weight.Shape[2], pad)
+	return err
 }
 
 func convOutHW(h, w, k int, pad tensor.PadMode) (int, int) {

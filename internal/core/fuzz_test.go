@@ -3,20 +3,27 @@ package core
 // Generated-input differential test of the planned batch kernel: for any
 // drawable layer, the unplanned engine, the per-sample planned path, the
 // full-layer batch forward and the channel-range shards stitched back
-// together must agree bit for bit. The checked-in corpus under
-// testdata/fuzz replays on every plain `go test`;
-// `go test -fuzz FuzzBatchKernels ./internal/core/` explores further.
+// together must agree bit for bit, and so must the whole-batch planned
+// Conv2D (one calibration domain) and the unplanned call over the same
+// batch. The checked-in corpus under testdata/fuzz replays on every plain
+// `go test`; `go test -fuzz FuzzBatchKernels ./internal/core/` explores
+// further.
 
 import (
 	"math/rand"
 	"testing"
 
+	"photofourier/internal/jtc"
 	"photofourier/internal/nn"
 	"photofourier/internal/tensor"
 )
 
 func FuzzBatchKernels(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, n, cin, cout, h, w, k, stride, nta, splits uint8, same, tiled bool, aperture uint16, noise uint8) {
+	// draw packs three draws into one byte: readout noise (draw%3), the
+	// detector ((draw/3)%3: linear, square-law, seeded noisy linear) and a
+	// mask of samples rectified to non-negative values (draw/9), so one
+	// batch mixes signed and non-negative samples.
+	f.Fuzz(func(t *testing.T, seed int64, n, cin, cout, h, w, k, stride, nta, splits uint8, same, tiled bool, aperture uint16, draw uint8) {
 		// Draws are folded into small bounds so one input stays cheap;
 		// geometry the engine cannot run is rejected below, not here.
 		tc := struct {
@@ -24,11 +31,12 @@ func FuzzBatchKernels(f *testing.F) {
 			pad                                                  tensor.PadMode
 			tiled                                                bool
 			noise                                                float64
+			detector, rectified                                  int
 		}{
 			n: 1 + int(n%4), cin: 1 + int(cin%5), cout: 1 + int(cout%6),
 			h: 1 + int(h%14), w: 1 + int(w%14), k: 1 + int(k%7), stride: 1 + int(stride%3),
 			pad: tensor.Valid, tiled: tiled, aperture: 4 + int(aperture%253),
-			noise: 0.005 * float64(noise%3),
+			noise: 0.005 * float64(draw%3), detector: int(draw/3) % 3, rectified: int(draw / 9),
 		}
 		if same {
 			tc.pad = tensor.Same
@@ -38,6 +46,15 @@ func FuzzBatchKernels(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		x := tensor.New(tc.n, tc.cin, tc.h, tc.w)
 		x.RandN(rng, 1)
+		per := tc.cin * tc.h * tc.w
+		for b := 0; b < tc.n; b++ {
+			if tc.rectified&(1<<b) == 0 {
+				continue
+			}
+			for i, v := range x.Data[b*per : (b+1)*per] {
+				x.Data[b*per+i] = max(v, 0)
+			}
+		}
 		wt := tensor.New(tc.cout, tc.cin, tc.k, tc.k)
 		wt.RandN(rng, 0.5)
 		bias := make([]float64, tc.cout)
@@ -51,6 +68,13 @@ func FuzzBatchKernels(f *testing.F) {
 			e.NTA = tc.nta
 			e.ReadoutNoise = tc.noise
 			e.Parallelism = 2
+			switch tc.detector {
+			case 1:
+				e.Detector = jtc.NewSquareLawDetector(0, 0)
+			case 2:
+				// Every engine starts the same sequential noise stream.
+				e.Detector = jtc.NewLinearPowerDetector(0.01, 0.005, 7)
+			}
 			return e
 		}
 		mk := func() *LayerPlan {
@@ -64,7 +88,6 @@ func FuzzBatchKernels(f *testing.F) {
 		// Per-sample planned path: the oracle. A layer it cannot run is
 		// undrawable; every other path must then run it too.
 		single := mk()
-		per := tc.cin * tc.h * tc.w
 		var want []float64
 		for b := 0; b < tc.n; b++ {
 			xb := &tensor.Tensor{Shape: []int{1, tc.cin, tc.h, tc.w}, Data: x.Data[b*per : (b+1)*per]}
@@ -87,6 +110,28 @@ func FuzzBatchKernels(f *testing.F) {
 					t.Fatalf("%+v: unplanned sample %d elem %d: %v != planned %v", tc, b, i, v, want[base+i])
 				}
 			}
+		}
+
+		// Whole-batch legs: one planned Conv2D call treats the batch as one
+		// calibration domain, exactly like one unplanned call. This is the
+		// only batch leg a sequentially-noisy detector may run.
+		if tc.n > 1 {
+			whole, err := mk().Conv2D(x)
+			if err != nil {
+				t.Fatalf("%+v: whole-batch planned Conv2D: %v", tc, err)
+			}
+			ref, err := engine().Conv2D(x, wt, bias, tc.stride, tc.pad)
+			if err != nil {
+				t.Fatalf("%+v: whole-batch unplanned Conv2D: %v", tc, err)
+			}
+			for i, v := range ref.Data {
+				if whole.Data[i] != v {
+					t.Fatalf("%+v: whole-batch elem %d: planned %v != unplanned %v", tc, i, whole.Data[i], v)
+				}
+			}
+		}
+		if !single.BatchExact() {
+			return
 		}
 
 		batch := mk()

@@ -11,9 +11,9 @@ import (
 // entry point. ForwardBatchCalls runs a whole batch through the layer with
 // PER-SAMPLE semantics — each sample gets its own DAC quantization scale,
 // its own ADC full-scale calibration, and its own readout-noise substreams —
-// so the result is bit-identical to looping the planned single-sample path
-// over the batch, while the machine work is organized batch-major: weights
-// are walked once per output channel (not once per sample), every
+// so the result is bit-identical to looping the planned single-sample
+// Conv2D over the batch, while the machine work is organized batch-major:
+// weights are walked once per output channel (not once per sample), every
 // activation plane is zero-padded once so the shift-and-add sweep runs as
 // chained full-plane register-tiled passes with no boundary clipping, and
 // the whole batch stays resident between pipeline stages. It is the batch
@@ -22,9 +22,10 @@ import (
 // The zero padding is exact, not approximate: a tap reading a padding cell
 // contributes c*0 == +0, and adding +0 to a non-negative partial sum is an
 // IEEE no-op, so the padded sweep produces the same bits as the
-// boundary-clipped sweep that skips those taps. Junk columns between padded
-// rows do accumulate garbage; they are dropped when each sample's planes
-// are compacted after detection, and never reach an output.
+// boundary-clipped sweep of the unplanned path, which skips those taps.
+// Junk columns between padded rows do accumulate garbage; they are dropped
+// when each sample's planes are compacted before detection, and never reach
+// a detector or an output.
 
 // padGeom is the padded plane layout of one batch-major direct sweep.
 type padGeom struct {
@@ -53,10 +54,10 @@ func newPadGeom(h, w, k int, pad tensor.PadMode) padGeom {
 	return g
 }
 
-// batchParts holds the per-sample sign-split quantized activations of one
-// batch in padded layout, with per-sample presence flags (the same
-// partPresence rule the single-sample path applies per call). The struct
-// and every slice it owns are pooled; callers release() when done.
+// batchParts holds the sign-split quantized activations of one batch in
+// padded layout, with per-sample presence flags (every sample carries its
+// calibration domain's flags; see quantizeBatchPadded). The struct and
+// every slice it owns are pooled; callers release() when done.
 type batchParts struct {
 	pos, neg       []float64 // nil when absent in every sample; alias posBuf/negBuf
 	posBuf, negBuf []float64 // n*cin*srcPlane padded planes (owned backing)
@@ -83,10 +84,14 @@ func (bp *batchParts) partHas(term int) []bool {
 	return bp.hasPos
 }
 
-// quantizeBatchPadded quantizes every sample independently (per-sample
-// MaxAbs and quantizer, exactly like quantizePartsPooled on a single-sample
-// tensor) and writes the sign parts into zero-padded planes.
-func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom) (*batchParts, error) {
+// quantizeBatchPadded quantizes x in calibration domains of dn consecutive
+// samples — one MaxAbs, one quantizer and one partPresence pair per
+// domain, the rule of one unplanned Conv2D call — and writes the sign parts
+// into zero-padded planes. Every sample of a domain carries the domain's
+// presence flags, so a sample without negatives in a domain with negatives
+// still feeds (all-zero) negative planes to the sweep, as the unplanned
+// call does.
+func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom, dn int) (*batchParts, error) {
 	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	total := n * cin * g.srcPlane
 	bp, _ := batchPartsPool.Get().(*batchParts)
@@ -98,25 +103,17 @@ func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom) (*batchParts, er
 	bp.hasPos, bp.hasNeg = boolPool.Get(n), boolPool.Get(n)
 	anyPos, anyNeg := false, false
 	per := cin * h * w
-	var ql quant.Linear // stack-resident; one value reused across samples
-	for b := 0; b < n; b++ {
-		sample := x.Data[b*per : (b+1)*per]
+	var ql quant.Linear // stack-resident; one value reused across domains
+	for d0 := 0; d0 < n; d0 += dn {
+		d1 := d0 + dn
 		var q *quant.Linear
 		if bits > 0 {
-			maxAbs := 0.0
-			for _, v := range sample {
-				if v < 0 {
-					v = -v
-				}
-				if v > maxAbs {
-					maxAbs = v
-				}
-			}
-			if maxAbs == 0 {
-				maxAbs = 1
+			m := maxAbs(x.Data[d0*per : d1*per])
+			if m == 0 {
+				m = 1
 			}
 			var err error
-			ql, err = quant.LinearOf(bits, maxAbs)
+			ql, err = quant.LinearOf(bits, m)
 			if err != nil {
 				bp.release()
 				return nil, err
@@ -124,20 +121,25 @@ func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom) (*batchParts, er
 			q = &ql
 		}
 		hasPos, hasNeg := false, false
-		for ic := 0; ic < cin; ic++ {
-			srcPlane := sample[ic*h*w : (ic+1)*h*w]
-			dstBase := (b*cin+ic)*g.srcPlane + g.padT*g.sd + g.padL
-			for y := 0; y < h; y++ {
-				row := srcPlane[y*w : (y+1)*w]
-				off := dstBase + y*g.sd
-				hp, hn := quantizeSplitInto(posBuf[off:off+w], negBuf[off:off+w], row, q)
-				hasPos = hasPos || hp
-				hasNeg = hasNeg || hn
+		for b := d0; b < d1; b++ {
+			sample := x.Data[b*per : (b+1)*per]
+			for ic := 0; ic < cin; ic++ {
+				srcPlane := sample[ic*h*w : (ic+1)*h*w]
+				dstBase := (b*cin+ic)*g.srcPlane + g.padT*g.sd + g.padL
+				for y := 0; y < h; y++ {
+					row := srcPlane[y*w : (y+1)*w]
+					off := dstBase + y*g.sd
+					hp, hn := quantizeSplitInto(posBuf[off:off+w], negBuf[off:off+w], row, q)
+					hasPos = hasPos || hp
+					hasNeg = hasNeg || hn
+				}
 			}
 		}
 		posPresent, negPresent := partPresence(hasPos, hasNeg)
-		bp.hasPos[b] = posPresent
-		bp.hasNeg[b] = negPresent
+		for b := d0; b < d1; b++ {
+			bp.hasPos[b] = posPresent
+			bp.hasNeg[b] = negPresent
+		}
 		anyPos = anyPos || posPresent
 		anyNeg = anyNeg || negPresent
 	}
@@ -153,8 +155,8 @@ func quantizeBatchPadded(x *tensor.Tensor, bits int, g padGeom) (*batchParts, er
 // BatchExact reports whether ForwardBatchCalls reproduces the per-sample
 // planned path bit-identically. It is false only when the detector draws
 // from a shared sequential noise stream (whose consumption order a
-// batch-major execution cannot reproduce); keyed readout-noise substreams
-// batch exactly.
+// multi-domain run cannot reproduce); keyed readout-noise substreams batch
+// exactly. Conv2D, a single-domain run, accepts either kind.
 func (lp *LayerPlan) BatchExact() bool { return detectorNoiseFree(lp.engine.Detector) }
 
 // ReserveCalls implements nn.BatchLayerPlan: it reserves n consecutive
@@ -191,7 +193,7 @@ func (e *Engine) AlignCalls(next uint64) { e.calls.Store(next) }
 // tensor.PutScratch.
 func (lp *LayerPlan) ForwardBatchCalls(x *tensor.Tensor, first, stride uint64) (*tensor.Tensor, error) {
 	var r batchRangeRun
-	if err := r.begin(lp, x, 0, lp.cout, first, stride); err != nil {
+	if err := r.begin(lp, x, 0, lp.cout, first, stride, false); err != nil {
 		return nil, err
 	}
 	return r.finish(nil)
@@ -220,8 +222,8 @@ func compactPlanes(dst, src []float64, planes, rows, sd, ow int) {
 // partial-sum buffers holding ocHi-ocLo planes per sample. Per accumulator
 // element the additions arrive in (input channel, ky, kx) order with
 // sign-matching taps only (padding contributes exact +0), so each (sample,
-// channel) output plane is bit-identical to the single-sample fused
-// sweep's, whatever the range (per-channel work items are independent).
+// channel) output plane is bit-identical to the unplanned grouped sweep's,
+// whatever the range (per-channel work items are independent).
 func (lp *LayerPlan) sweepBatchDirect(bp *batchParts, g padGeom, n int, groups [][2]int, ps *psumSet, workers, ocLo, ocHi int) error {
 	dstCout := ocHi - ocLo
 	cin, k := lp.cin, lp.k

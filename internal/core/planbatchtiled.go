@@ -17,23 +17,24 @@ var (
 )
 
 // accTableFor builds one term's (sample, kernel) → accumulator-plane table
-// over group gi for rc output channels; absent samples stay nil (skipped by
-// the executor). The table comes from the views pool; callers release it
-// with putViews.
-func accTableFor(ps *psumSet, bp *batchParts, term, gi, n, rc, plane int) [][]float64 {
+// over group gi for the cc output channels starting at channel off of
+// buffers holding rc channel planes per sample; absent samples stay nil
+// (skipped by the executor). The table comes from the views pool; callers
+// release it with putViews.
+func accTableFor(ps *psumSet, bp *batchParts, term, gi, n, cc, rc, off, plane int) [][]float64 {
 	bufs := ps.terms[term]
 	if bufs == nil {
 		return nil
 	}
-	accs := getViewsZeroed(n * rc)
+	accs := getViewsZeroed(n * cc)
 	partHas := bp.partHas(term)
 	for b := 0; b < n; b++ {
 		if !partHas[b] {
 			continue
 		}
-		for j := 0; j < rc; j++ {
-			off := (b*rc + j) * plane
-			accs[b*rc+j] = bufs[gi][off : off+plane]
+		for j := 0; j < cc; j++ {
+			at := (b*rc + off + j) * plane
+			accs[b*cc+j] = bufs[gi][at : at+plane]
 		}
 	}
 	return accs
@@ -75,53 +76,63 @@ func bindSampleRows(all [][][]float64, part []float64, ic, n, cin, h, w int) [][
 	return all
 }
 
-// tiledBatchGroup runs one operating group's batch-major sweep over output
-// channels [ocLo, ocHi): pooled row/kernel/accumulator tables are bound,
-// every input channel of the group walks the batched executor, and the
-// scratch returns to its pools (abandoned to the GC on the exceptional
-// error paths). Only the range's kernels are correlated (and counted as
-// shots), and each accumulator receives exactly the additions the
-// full-plane executor would deliver to that (sample, channel) plane, in
-// the same shot order.
+// tiledSweep is what the tiled sweep items of one run read. Items take it
+// by value, so handing them to workers never moves the run to the heap.
+type tiledSweep struct {
+	lp       *LayerPlan
+	bp       *batchParts
+	ps       *psumSet
+	geo      *layerGeo
+	n        int
+	ocLo, rc int // the run's output channel range [ocLo, ocLo+rc)
+	plane    int // oh*ow
+}
+
+// group runs one operating group's batch-major sweep over output
+// channels [c0, c1) of the run's range: pooled row/kernel/accumulator
+// tables are bound, every input channel of the group walks the batched
+// executor, and the scratch returns to its pools (abandoned to the GC on
+// the exceptional error paths). Only those channels' kernels are
+// correlated (and counted as shots), and each accumulator receives exactly
+// the additions the full-plane executor would deliver to that (sample,
+// channel) plane, in the same shot order.
 //
-// Against the per-sample path, every distinct (sample, channel, shot,
-// activation part) signal is transformed to the frequency domain exactly
-// once into the executor's spectrum arena and reused across every output
-// channel and both weight signs, and shot accounting runs on the packed
-// BatchPlan schedule, so batches advance jtc.Shots by strictly less than
-// per-sample execution whenever the aperture has slack to pack.
-func (lp *LayerPlan) tiledBatchGroup(bp *batchParts, geo *layerGeo, ps *psumSet, g [2]int, gi, n, cin, h, w, oh, ow, ocLo, ocHi int) error {
-	rc := ocHi - ocLo
+// Every distinct (sample, channel, shot, activation part) signal is
+// transformed to the frequency domain exactly once per call into the
+// executor's spectrum arena and reused across every output channel of the
+// call and both weight signs, and shot accounting runs on the packed
+// BatchPlan schedule of the participating samples, so a batch advances
+// jtc.Shots by strictly less than its samples run one by one whenever the
+// aperture has slack to pack.
+func (s tiledSweep) group(g [2]int, gi, c0, c1 int) error {
+	bp, ps, geo, n := s.bp, s.ps, s.geo, s.n
+	cin, h, w := s.lp.cin, geo.tp.H, geo.tp.W
+	cc, off := c1-c0, c0-s.ocLo
 	rowsPos, rowsPosFlat := rowTableFor(bp.pos, bp.hasPos, n, h)
 	rowsNeg, rowsNegFlat := rowTableFor(bp.neg, bp.hasNeg, n, h)
 	var kbufPos, kbufNeg []*tiling.KernelPlan
 	if geo.kpos != nil {
-		kbufPos = kernelPlanPool.Get(rc)
+		kbufPos = kernelPlanPool.Get(cc)
 	}
 	if geo.kneg != nil {
-		kbufNeg = kernelPlanPool.Get(rc)
+		kbufNeg = kernelPlanPool.Get(cc)
 	}
 	op, _ := batchOperandsPool.Get().(*tiling.BatchConvOperands)
 	if op == nil {
 		op = &tiling.BatchConvOperands{}
 	}
 	op.KPos, op.KNeg = kbufPos, kbufNeg
-	op.Accs[0] = accTableFor(ps, bp, termPosPos, gi, n, rc, oh*ow)
-	op.Accs[1] = accTableFor(ps, bp, termPosNeg, gi, n, rc, oh*ow)
-	op.Accs[2] = accTableFor(ps, bp, termNegPos, gi, n, rc, oh*ow)
-	op.Accs[3] = accTableFor(ps, bp, termNegNeg, gi, n, rc, oh*ow)
+	for term := range op.Accs {
+		op.Accs[term] = accTableFor(ps, bp, term, gi, n, cc, s.rc, off, s.plane)
+	}
 	for ic := g[0]; ic < g[1]; ic++ {
 		op.Pos = bindSampleRows(rowsPos, bp.pos, ic, n, cin, h, w)
 		op.Neg = bindSampleRows(rowsNeg, bp.neg, ic, n, cin, h, w)
-		if kbufPos != nil {
-			for j := 0; j < rc; j++ {
-				kbufPos[j] = geo.kpos[(ocLo+j)*cin+ic]
-			}
+		for j := range kbufPos {
+			kbufPos[j] = geo.kpos[(c0+j)*cin+ic]
 		}
-		if kbufNeg != nil {
-			for j := 0; j < rc; j++ {
-				kbufNeg[j] = geo.kneg[(ocLo+j)*cin+ic]
-			}
+		for j := range kbufNeg {
+			kbufNeg[j] = geo.kneg[(c0+j)*cin+ic]
 		}
 		if err := geo.tp.Conv2DPlannedAccumBatch(op); err != nil {
 			return err

@@ -1,8 +1,13 @@
 // The batch kernel of a LayerPlan: one run covers output channels [ocLo,
 // ocHi) of a batch in two phases — sweep/detect first (begin), readout
-// second (finish). ForwardBatchCalls is the run over [0, cout): it sees
-// whole output planes and derives every (term, sample) ADC full scale
-// locally with hardwareScale. Output-channel sharding (nn.ChannelRangePlan)
+// second (finish). Its samples group into calibration domains: the samples
+// that share one DAC scale, one presence flag pair, one ADC full scale per
+// term, one engine call index and one readout substream per (term, group).
+// The entry point fixes the grouping. Conv2D runs [0, cout) with the whole
+// input as one domain (the unplanned call's semantics); ForwardBatchCalls
+// runs [0, cout) with one domain per sample and derives every (term,
+// sample) ADC full scale locally with hardwareScale. Output-channel
+// sharding (nn.ChannelRangePlan)
 // runs the same kernel over sub-ranges on several engines: BeginBatchRange
 // exports the per-(term, sample, hardware-group) calibration maxima after
 // phase one, and the scheduler hands the combined scales to Finish, so
@@ -43,10 +48,13 @@ func (lp *LayerPlan) OutChannels() int { return lp.cout }
 // range's detected partial sums, and (for a shard) the exported maxima.
 // All buffers are pooled.
 type batchRangeRun struct {
-	lp            *LayerPlan
-	n             int
-	ocLo, ocHi    int
-	oh, ow        int
+	lp         *LayerPlan
+	n          int
+	dn         int // samples per calibration domain: 1, or n for Conv2D (range [0, cout) only)
+	ocLo, ocHi int
+	oh, ow     int
+	// Domain d draws its readout and fault substreams from call index
+	// first + d*stride.
 	first, stride uint64
 	bp            *batchParts
 	// ps.terms[term][gi] holds, after phase one, n*(ocHi-ocLo)*oh*ow
@@ -71,7 +79,7 @@ func (lp *LayerPlan) BeginBatchRange(x *tensor.Tensor, ocLo, ocHi int, first, st
 		return nil, fmt.Errorf("core: transient-misfire guard needs whole readout planes; cannot channel-shard with shot faults")
 	}
 	r := &batchRangeRun{}
-	if err := r.begin(lp, x, ocLo, ocHi, first, stride); err != nil {
+	if err := r.begin(lp, x, ocLo, ocHi, first, stride, false); err != nil {
 		return nil, err
 	}
 	r.exportMaxima()
@@ -79,41 +87,44 @@ func (lp *LayerPlan) BeginBatchRange(x *tensor.Tensor, ocLo, ocHi int, first, st
 }
 
 // begin validates a batch forward over output channels [ocLo, ocHi) and
-// runs phase one. On error the run holds no pooled buffers.
-func (r *batchRangeRun) begin(lp *LayerPlan, x *tensor.Tensor, ocLo, ocHi int, first, stride uint64) error {
+// runs phase one. whole selects one calibration domain for the whole input,
+// keyed by a call index begin reserves itself once the input is valid
+// (first and stride are then unused); otherwise every sample is its own
+// domain, keyed by first + b*stride. On error the run holds no pooled
+// buffers.
+func (r *batchRangeRun) begin(lp *LayerPlan, x *tensor.Tensor, ocLo, ocHi int, first, stride uint64, whole bool) error {
 	e := lp.engine
 	if lp.Stale() {
 		return fmt.Errorf("core: %w: engine DAC/tiling config changed since PlanConv", nn.ErrStalePlan)
 	}
-	if !lp.BatchExact() {
+	// A sequentially-noisy detector is consumed in one canonical order per
+	// domain; only a single domain reproduces it.
+	if !whole && !lp.BatchExact() {
 		return fmt.Errorf("core: batch-major forward with a sequentially-noisy detector; run samples through Conv2D instead")
 	}
 	if e.NTA < 1 {
 		return fmt.Errorf("core: NTA %d must be >= 1", e.NTA)
 	}
-	if x.Rank() != 4 {
-		return fmt.Errorf("core: %w: batch forward wants NCHW input, got %v", nn.ErrShapeMismatch, x.Shape)
+	oh, ow, err := checkConvInput(x, lp.cin, lp.k, lp.pad)
+	if err != nil {
+		return err
 	}
 	if ocLo < 0 || ocHi <= ocLo || ocHi > lp.cout {
 		return fmt.Errorf("core: channel range [%d,%d) out of [0,%d)", ocLo, ocHi, lp.cout)
 	}
-	n, cin := x.Shape[0], x.Shape[1]
-	if cin != lp.cin {
-		return fmt.Errorf("core: %w: channel mismatch %d vs %d", nn.ErrShapeMismatch, lp.cin, cin)
+	n, dn := x.Shape[0], 1
+	if whole {
+		first, stride = e.calls.Add(1), 1
+		dn = max(n, 1)
 	}
-	oh, ow := convOutHW(x.Shape[2], x.Shape[3], lp.k, lp.pad)
-	if oh < 1 || ow < 1 {
-		return fmt.Errorf("core: batch conv empty output for %v k=%d", x.Shape, lp.k)
-	}
-	// Outage is monotonic in the call index, so the batch's largest reserved
-	// call decides for every sample at once.
+	// Outage is monotonic in the call index, so the last domain's call
+	// decides for every domain at once.
 	if n > 0 {
-		if err := e.checkOutage(first + uint64(n-1)*stride); err != nil {
+		if err := e.checkOutage(first + uint64(n/dn-1)*stride); err != nil {
 			return err
 		}
 	}
-	*r = batchRangeRun{lp: lp, n: n, ocLo: ocLo, ocHi: ocHi, oh: oh, ow: ow, first: first, stride: stride}
-	var err error
+	*r = batchRangeRun{lp: lp, n: n, dn: dn, ocLo: ocLo, ocHi: ocHi, oh: oh, ow: ow, first: first, stride: stride}
 	if lp.cfg.tiled {
 		err = r.beginTiled(x)
 	} else {
@@ -194,16 +205,18 @@ func maxAbs(data []float64) float64 {
 }
 
 // beginDirect is phase one on the direct path: padded quantization of the
-// FULL input (per-sample scales and activity are range-independent), a
-// range-restricted store-first sweep, detection, per-channel merge where
-// the detector wants it, and compaction of every active sample's planes in
-// place (each row moves to an offset no greater than its own, so the
-// forward copy never overwrites a row it has yet to read).
+// FULL input (domain scales and activity are range-independent), a
+// range-restricted store-first sweep, compaction of every active sample's
+// planes in place (each row moves to an offset no greater than its own, so
+// the forward copy never overwrites a row it has yet to read), detection of
+// the compacted planes — so a noisy detector draws exactly as the unplanned
+// path does, junk columns excluded — and per-channel merge where the
+// detector wants it.
 func (r *batchRangeRun) beginDirect(x *tensor.Tensor) error {
 	lp, e := r.lp, r.lp.engine
 	n, rc := r.n, r.ocHi-r.ocLo
 	g := newPadGeom(x.Shape[2], x.Shape[3], lp.k, lp.pad)
-	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, g)
+	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, g, r.dn)
 	if err != nil {
 		return err
 	}
@@ -229,27 +242,24 @@ func (r *batchRangeRun) beginDirect(x *tensor.Tensor) error {
 	}
 
 	plane := rc * r.oh * r.ow
-	for term := 0; term < numTerms; term++ {
-		bufs := ps.terms[term]
+	for term, bufs := range ps.terms {
 		if bufs == nil {
 			continue
 		}
-		if err := e.detectBuffers(bufs, workers); err != nil {
-			return err
-		}
-		if perChannel {
-			merged := mergeGroups(bufs, groups)
-			releaseViewBuffers(bufs)
-			ps.terms[term] = merged
-			bufs = merged
-		}
-		partHas := r.bp.partHas(term)
+		partHas := bp.partHas(term)
 		for _, buf := range bufs {
 			for b := 0; b < n; b++ {
 				if partHas[b] {
 					compactPlanes(buf[b*plane:], buf[b*rc*g.dstPlane:], rc, r.oh, g.sd, r.ow)
 				}
 			}
+		}
+		if err := e.detectBuffers(bufs, n*plane, workers); err != nil {
+			return err
+		}
+		if perChannel {
+			ps.terms[term] = mergeGroups(bufs, groups, n*plane)
+			releaseViewBuffers(bufs)
 		}
 	}
 	return nil
@@ -261,10 +271,9 @@ func (r *batchRangeRun) beginDirect(x *tensor.Tensor) error {
 func (r *batchRangeRun) beginTiled(x *tensor.Tensor) error {
 	lp, e := r.lp, r.lp.engine
 	n, rc := r.n, r.ocHi-r.ocLo
-	cin, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow, ocLo, ocHi := r.oh, r.ow, r.ocLo, r.ocHi
+	h, w := x.Shape[2], x.Shape[3]
 	flat := padGeom{h: h, w: w, sd: w, srcRows: h, srcPlane: h * w}
-	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, flat)
+	bp, err := quantizeBatchPadded(x, lp.cfg.dacBits, flat, r.dn)
 	if err != nil {
 		return err
 	}
@@ -281,22 +290,34 @@ func (r *batchRangeRun) beginTiled(x *tensor.Tensor) error {
 	present[termPosNeg] = bp.pos != nil && geo.kneg != nil
 	present[termNegPos] = bp.neg != nil && geo.kpos != nil
 	present[termNegNeg] = bp.neg != nil && geo.kneg != nil
-	ps := newPsumSet(present, len(groups), n*rc*oh*ow)
+	size := n * rc * r.oh * r.ow
+	ps := newPsumSet(present, len(groups), size)
 	r.ps = ps
 
-	// Groups are the sweep's parallel axis: each group's partial-sum
-	// buffers are disjoint, and the shot→kernel→sample arena reuse inside
-	// Conv2DPlannedAccumBatch stays intact per group (chunking output
-	// channels instead would re-transform signals per chunk). The serial
-	// case loops directly so the dispatch closure never materializes.
-	if workers <= 1 || len(groups) == 1 {
+	// Groups are the sweep's parallel axis; output channels split into
+	// chunks only when groups are fewer than workers, since each extra
+	// chunk re-transforms the shot signals that the arena inside
+	// Conv2DPlannedAccumBatch otherwise shares across the whole range.
+	// Every (group, chunk) item writes disjoint accumulators in an
+	// unchanged addition order, so the bits never depend on the split. The
+	// serial case loops directly so the dispatch closure never
+	// materializes.
+	sw := tiledSweep{lp: lp, bp: bp, ps: ps, geo: geo, n: n, ocLo: r.ocLo, rc: rc, plane: r.oh * r.ow}
+	ocHi := r.ocHi
+	chunks := min((workers+len(groups)-1)/len(groups), rc)
+	per := (rc + chunks - 1) / chunks
+	if workers <= 1 || len(groups)*chunks == 1 {
 		for gi := range groups {
-			if err := lp.tiledBatchGroup(bp, geo, ps, groups[gi], gi, n, cin, h, w, oh, ow, ocLo, ocHi); err != nil {
+			if err := sw.group(groups[gi], gi, sw.ocLo, ocHi); err != nil {
 				return err
 			}
 		}
-	} else if err := parallelFor(len(groups), workers, func(gi int) error {
-		return lp.tiledBatchGroup(bp, geo, ps, groups[gi], gi, n, cin, h, w, oh, ow, ocLo, ocHi)
+	} else if err := parallelFor(len(groups)*chunks, workers, func(item int) error {
+		gi, c0 := item/chunks, sw.ocLo+(item%chunks)*per
+		if c0 >= ocHi {
+			return nil
+		}
+		return sw.group(groups[gi], gi, c0, min(c0+per, ocHi))
 	}); err != nil {
 		return err
 	}
@@ -305,7 +326,7 @@ func (r *batchRangeRun) beginTiled(x *tensor.Tensor) error {
 		if bufs == nil {
 			continue
 		}
-		if err := e.detectBuffers(bufs, workers); err != nil {
+		if err := e.detectBuffers(bufs, size, workers); err != nil {
 			return err
 		}
 	}
@@ -340,12 +361,14 @@ func (r *batchRangeRun) checkScales(scales *nn.RangeScales) error {
 	return nil
 }
 
-// finish is phase two: elementwise faults, position-derived keyed noise
-// with the range's leading draws discarded, signed accumulation, bias, and
-// stride decimation; it consumes the run. scales are a shard's combined
-// per-(term, sample) ADC full scales; nil means the run covers whole planes
-// and each scale comes from hardwareScale over the sample's own group
-// planes, exactly as the per-sample path derives it.
+// finish is phase two, one calibration domain at a time: elementwise
+// faults, position-derived keyed noise with the range's leading draws
+// discarded, signed accumulation, bias, and stride decimation; it consumes
+// the run. scales are a shard's combined per-(term, sample) ADC full
+// scales; nil means the run covers whole planes and each scale comes from
+// hardwareScale over the domain's own group planes, exactly as one
+// unplanned call over the domain derives it. A domain's samples are
+// contiguous, so its group planes are plain sub-slices of the buffers.
 func (r *batchRangeRun) finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
 	if r.done {
 		return nil, fmt.Errorf("core: channel-range run already finished")
@@ -370,21 +393,22 @@ func (r *batchRangeRun) finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
 		}
 		partHas := r.bp.partHas(term)
 		sgn := termSign[term]
-		for b := 0; b < n; b++ {
-			if !partHas[b] {
+		for d0 := 0; d0 < n; d0 += r.dn {
+			if !partHas[d0] {
 				continue
 			}
+			d, d1 := d0/r.dn, d0+r.dn
 			for gi := range views {
-				views[gi] = bufs[gi][b*plane : (b+1)*plane]
+				views[gi] = bufs[gi][d0*plane : d1*plane]
 			}
 			var scale float64
 			if scales != nil {
-				scale = scales.Terms[term][b]
+				scale = scales.Terms[term][d]
 			} else {
 				scale = e.hardwareScale(views, lp.cin)
 			}
-			callIdx := r.first + uint64(b)*r.stride
-			outSample := out.Data[b*plane : (b+1)*plane]
+			callIdx := r.first + uint64(d)*r.stride
+			outDomain := out.Data[d0*plane : d1*plane]
 			if e.Faults != nil {
 				for gi := range views {
 					if err := e.applyGroupFaults(callIdx, term, gi, views[gi], scale); err != nil {
@@ -401,7 +425,7 @@ func (r *batchRangeRun) finish(scales *nn.RangeScales) (*tensor.Tensor, error) {
 						rng.NormFloat64()
 					}
 				}
-				if err := e.readoutAccum(views[gi], scale, rng, sgn, outSample); err != nil {
+				if err := e.readoutAccum(views[gi], scale, rng, sgn, outDomain); err != nil {
 					tensor.PutScratch(out)
 					return nil, err
 				}

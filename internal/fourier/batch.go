@@ -717,6 +717,7 @@ func (cp *ConvPlan) TransformSlotsSoA(a *SpectrumArena, signals [][]float64) err
 	if a.bins != cp.SpectrumLen() {
 		return fmt.Errorf("fourier: arena bins %d, plan needs %d", a.bins, cp.SpectrumLen())
 	}
+	live, last := 0, 0
 	for i, signal := range signals {
 		if signal == nil {
 			continue
@@ -727,6 +728,13 @@ func (cp *ConvPlan) TransformSlotsSoA(a *SpectrumArena, signals [][]float64) err
 		if len(signal) > cp.maxSig {
 			return fmt.Errorf("fourier: signal %d length %d exceeds conv plan max %d", i, len(signal), cp.maxSig)
 		}
+		live, last = live+1, i
+	}
+	if live == 1 {
+		// A lone signal would run the butterflies of a whole lockstep group
+		// over zero lanes; the scalar transform gives the same bits for a
+		// fraction of the work (single-sample planned convolutions).
+		return cp.TransformSignalSoA(a, last, signals[last])
 	}
 	if cp.m == 1 {
 		for i, signal := range signals {

@@ -58,7 +58,10 @@ type LayerPlanner interface {
 // once per batch, the whole batch resident per pipeline stage). In
 // core.LayerPlan it is the channel-range kernel of ChannelRangePlan run
 // over all output channels [0, cout), with every ADC full scale derived
-// locally from the whole plane instead of exchanged.
+// locally from the whole plane instead of exchanged. LayerPlan.Conv2D runs
+// the same kernel with the whole batch as ONE calibration domain (one
+// quantization scale, ADC calibration and noise key, like one unplanned
+// call), where ForwardBatchCalls makes each sample its own domain.
 //
 // Sample i keys its readout-noise substreams by the virtual call index
 // first + i*stride. Callers reserve the index block through ReserveCalls so

@@ -79,8 +79,10 @@ func (op *BatchConvOperands) kernelSetFor(term int) []*KernelPlan {
 // transformed to the frequency domain EXACTLY ONCE — into a contiguous SoA
 // spectrum arena — and its spectrum reused against every kernel of both
 // weight signs, in shot → kernel → sample order. Each accumulator receives
-// additions in the same (shot) order Conv2DPlannedAccumMany produces, so
-// the result is bit-identical to per-sample planned convolutions.
+// additions in the same (shot) order Conv2DPlannedAccum produces, so the
+// result is bit-identical to independent planned convolutions. It is the
+// only multi-kernel executor: every planned accelerator convolution, single
+// sample or batch, runs through it.
 //
 // Shot accounting is PACKED: the modeled hardware executes the batch on the
 // BatchPlan schedule (multiple samples' tiles sharing one aperture), so
