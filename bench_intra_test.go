@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"photofourier/internal/backend"
 	"photofourier/internal/nn"
@@ -12,32 +11,22 @@ import (
 	"photofourier/internal/tensor"
 )
 
-// BenchmarkIntraBatch1 measures batch-1 latency under the intra-sample
-// pool strategies (BENCH_10.json): one AlexNetS inference served by a
-// single device, by output-channel sharding at pool {2,4}, and by
-// layer-stage pipelining at pool {2,4}. As in BenchmarkPoolForwardBatch,
-// ns/op on a single-CPU host only shows scheduling overhead (the shard
-// goroutines time-share one core), so the headline view is modeled:
+// BenchmarkIntraBatch1 measures batch-1 latency under output-channel
+// sharding (BENCH_10.json): one AlexNetS inference served by a single
+// device and by channel sharding at pool {2,4}. ns/op is the measured
+// batch-1 latency; the channel-shard speedup is single ns/op over
+// channelN ns/op. The shards run as goroutines, so a host with fewer CPUs
+// than devices serializes them and ns/op then shows scheduling overhead
+// rather than device parallelism.
 //
-//   - modeled-ns/sample: serial single-device batch-1 cost (measured) x
-//     the largest per-device work share the strategy's real partitioner
-//     assigns. Channel sharding's share is the cost-weighted fraction of
-//     output channels the busiest device sweeps (pool.SplitChannels per
-//     layer, layers priced by the arch model); pipelining's share is the
-//     bottleneck stage's fraction of total cost (pool.StageBounds over
-//     pool.StepCosts). The partitions are the scheduler's own — only the
-//     device parallelism is modeled;
-//   - modeled-speedup: serial / modeled, i.e. 1/maxShare — the batch-1
-//     latency win over one device, independent of host noise;
-//   - arch-ns/sample: the arch performance model's end-to-end conv time
-//     for the same plan geometry (arch.EvalLayer summed over the engine
-//     convolutions), the modeled-vs-scheduled comparison column.
+// arch-ns/sample is the arch performance model's end-to-end conv time for
+// the same plan geometry (arch.EvalLayer summed over the engine
+// convolutions), a modeled comparison column beside the measurement.
 func BenchmarkIntraBatch1(b *testing.B) {
 	dev := benchPoolDevice()
 	rng := rand.New(rand.NewSource(45))
 	x := tensor.New(1, 3, 32, 32)
 	x.RandN(rng, 1)
-	serialNs := serialBatch1Cost(b, dev, x)
 
 	eng, err := backend.Open(dev)
 	if err != nil {
@@ -65,8 +54,6 @@ func BenchmarkIntraBatch1(b *testing.B) {
 		{"single", "", 1},
 		{"channel2", "channel", 2},
 		{"channel4", "channel", 4},
-		{"pipeline2", "pipeline", 2},
-		{"pipeline4", "pipeline", 4},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -90,82 +77,8 @@ func BenchmarkIntraBatch1(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			share := intraMaxShare(tc.shard, tc.size, metas, costs)
-			b.ReportMetric(serialNs*share, "modeled-ns/sample")
-			b.ReportMetric(1/share, "modeled-speedup")
 			b.ReportMetric(archNs, "arch-ns/sample")
 			b.ReportMetric(float64(p.Live()), "live-devices")
 		})
 	}
-}
-
-// intraMaxShare computes the busiest device's fraction of one sample's
-// total modeled cost under a strategy's real partitioner.
-func intraMaxShare(shard string, size int, metas []nn.StepMeta, costs []float64) float64 {
-	total := 0.0
-	for _, c := range costs {
-		total += c
-	}
-	if size <= 1 || total <= 0 {
-		return 1
-	}
-	switch shard {
-	case "channel":
-		shares := make([]float64, size)
-		for i, m := range metas {
-			if m.Conv == nil || costs[i] == 0 {
-				continue
-			}
-			ranges := pool.SplitChannels(m.Conv.Cout, size)
-			for d, sp := range ranges {
-				shares[d] += costs[i] * float64(sp[1]-sp[0]) / float64(m.Conv.Cout)
-			}
-		}
-		maxShare := 0.0
-		for _, s := range shares {
-			if s > maxShare {
-				maxShare = s
-			}
-		}
-		return maxShare / total
-	case "pipeline":
-		bounds := pool.StageBounds(costs, size)
-		maxStage := 0.0
-		for s := 0; s+1 < len(bounds); s++ {
-			stage := 0.0
-			for i := bounds[s]; i < bounds[s+1]; i++ {
-				stage += costs[i]
-			}
-			if stage > maxStage {
-				maxStage = stage
-			}
-		}
-		return maxStage / total
-	}
-	return 1
-}
-
-// serialBatch1Cost measures one device spec's serial batch-1 latency — the
-// single-engine baseline the intra-sample model scales down by maxShare.
-func serialBatch1Cost(b *testing.B, spec string, x *tensor.Tensor) float64 {
-	b.Helper()
-	eng, err := backend.Open(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := nn.AlexNetS(10, 7).Compile(eng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := plan.ForwardBatch(x); err != nil { // warm geometry + pools
-		b.Fatal(err)
-	}
-	const reps = 3
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := plan.ForwardBatch(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return float64(time.Since(start)) / float64(reps)
 }

@@ -1,13 +1,8 @@
-// Layer-stage pipelining support: the step-range execution and per-step
-// metadata a multi-device scheduler needs to assign contiguous stages of a
-// compiled plan to devices and stream samples through them.
-//
-// Bit-identity rests on the same call-reservation keying as sample and
-// channel sharding: a stage holding steps [s0, s1) of a plan whose keyed
-// prefix before s0 is k0 runs sample b's stage after AlignEngineCalls(base
-// + b*stride + k0) — the counter-consuming per-sample path then draws call
-// indices base + b*stride + k0 + 1, ... exactly as a single engine serving
-// the whole sequence would.
+// Per-step metadata for profiling a compiled plan: each step's name, the
+// engine call indices it consumes per sample, its convolution geometry and
+// its output shape, so a profiler can time steps one at a time and set a
+// cost model's price (e.g. internal/arch's per-layer evaluator) beside
+// each measured time.
 package nn
 
 import (
@@ -24,7 +19,7 @@ type ConvGeom struct {
 	Pad                        tensor.PadMode
 }
 
-// StepMeta describes one compiled plan step for stage partitioning.
+// StepMeta describes one compiled plan step for per-step profiling.
 type StepMeta struct {
 	Name string
 	// Keyed is the engine call indices the step consumes per sample.
@@ -35,10 +30,6 @@ type StepMeta struct {
 	// Out is the per-sample output shape after the step.
 	Out []int
 }
-
-// NumSteps returns the compiled step count (the stage-boundary domain of
-// ForwardSteps).
-func (p *NetworkPlan) NumSteps() int { return len(p.steps) }
 
 // StepMetas walks the plan once for a (c, h, w) input sample and returns
 // per-step metadata: keyed call consumption, convolution geometry where the
@@ -53,11 +44,11 @@ func (p *NetworkPlan) StepMetas(c, h, w int) ([]StepMeta, error) {
 			return nil, fmt.Errorf("nn: %s step on %v: %w", s.name(), in, err)
 		}
 		if shape == nil {
-			return nil, fmt.Errorf("nn: step %s has no static geometry; cannot stage-partition", s.name())
+			return nil, fmt.Errorf("nn: step %s has no static geometry; cannot profile it per step", s.name())
 		}
 		keyed, ok := countKeyedSteps([]planStep{s})
 		if !ok {
-			return nil, fmt.Errorf("nn: step %s hides engine usage; cannot stage-partition", s.name())
+			return nil, fmt.Errorf("nn: step %s hides engine usage; cannot profile it per step", s.name())
 		}
 		m := StepMeta{Name: s.name(), Keyed: keyed, Out: shape}
 		if conv := stepConv(s); conv != nil && len(in) == 3 {
@@ -85,32 +76,4 @@ func stepConv(s planStep) *Conv {
 		return st.c
 	}
 	return nil
-}
-
-// ForwardSteps runs steps [from, to) of the compiled plan over an NCHW
-// batch and returns the resulting activation. The caller owns the returned
-// tensor (a pooled scratch tensor, recyclable with tensor.PutScratch) and
-// keeps ownership of x. Call-keyed engines must be aligned by the caller
-// (AlignEngineCalls) before every invocation; the steps consume indices
-// through the per-sample counter path.
-func (p *NetworkPlan) ForwardSteps(x *tensor.Tensor, from, to int) (*tensor.Tensor, error) {
-	if p.Stale() {
-		return nil, fmt.Errorf("nn: %w: training or an engine config change invalidated the network plan; recompile with Network.Compile", ErrStalePlan)
-	}
-	if x.Rank() != 4 || x.Shape[0] < 1 {
-		return nil, fmt.Errorf("nn: %w: staged forward wants a non-empty NCHW batch, got %v", ErrShapeMismatch, x.Shape)
-	}
-	if from < 0 || to > len(p.steps) || from > to {
-		return nil, fmt.Errorf("nn: step range [%d,%d) out of bounds (plan has %d steps)", from, to, len(p.steps))
-	}
-	out, own, err := p.runSteps(p.steps[from:to], x, false)
-	if err != nil {
-		return nil, err
-	}
-	if !own {
-		clone := p.newTensor(out.Shape...)
-		copy(clone.Data, out.Data)
-		out = clone
-	}
-	return out, nil
 }

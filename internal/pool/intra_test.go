@@ -1,9 +1,8 @@
 package pool
 
-// Intra-sample strategies: the channel-shard golden matrix (bit-identity
+// Intra-sample execution: the channel-shard golden matrix (bit-identity
 // to one engine across substrates, pool sizes, and nets — including keyed
-// readout noise), the pipelined golden sequence, and the -race hammer
-// with a mid-stream device outage.
+// readout noise), outage degradation, and the decision log.
 
 import (
 	"bytes"
@@ -77,108 +76,6 @@ func TestChannelShardGoldenMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// TestPipelineGoldenMatchesSingleEngine: staged execution with per-stage
-// counter alignment serves a request sequence bit-identically to one
-// engine, including the noisy substrate where every draw is keyed.
-func TestPipelineGoldenMatchesSingleEngine(t *testing.T) {
-	specs := []string{
-		"accelerator?workers=1",
-		"accelerator-noisy?workers=1",
-	}
-	batches := []int{1, 4, 2}
-	for _, net := range poolNets() {
-		for _, spec := range specs {
-			eng, err := backend.Open(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := net.Compile(eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wants []*tensor.Tensor
-			for r, n := range batches {
-				w, err := single.ForwardBatch(poolBatch(int64(700+r), n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				wants = append(wants, w)
-			}
-			for _, size := range []int{2, 4} {
-				name := fmt.Sprintf("%s/%s/shard=pipeline/size=%d", net.Name, spec, size)
-				p := mustPool(t, net, Options{Specs: repeatSpec(spec, size), Shard: ShardPipeline})
-				for r, n := range batches {
-					got, err := p.ForwardBatch(poolBatch(int64(700+r), n))
-					if err != nil {
-						t.Fatalf("%s: request %d: %v", name, r, err)
-					}
-					assertSameData(t, name, r, wants[r], got)
-				}
-				p.Close()
-			}
-		}
-	}
-}
-
-// TestPipelineHammerMidStreamOutage is the pipelined chaos hammer: 64
-// concurrent batch-1 requests stream through a 4-device pipeline whose
-// last device dies mid-stream (call-indexed outage). Every request must
-// complete bit-exactly — stage faults re-partition and resume from the
-// sample's current step — and the dead device must end up quarantined.
-// Run under -race (the pool race dir covers this package in CI).
-func TestPipelineHammerMidStreamOutage(t *testing.T) {
-	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
-	healthy := "accelerator?workers=1"
-	dying := "accelerator?workers=1,fault=outage:30,faultseed=3"
-	eng, err := backend.Open(healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := net.Compile(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := mustPool(t, net, Options{
-		Specs:               append(repeatSpec(healthy, 3), dying),
-		Shard:               ShardPipeline,
-		QuarantineThreshold: 1,
-		ProbeInterval:       time.Millisecond,
-	})
-	const requests = 64
-	wants := make([]*tensor.Tensor, requests)
-	for r := range wants {
-		w, err := single.ForwardBatch(poolBatch(int64(900+r), 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[r] = w
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, requests)
-	gots := make([]*tensor.Tensor, requests)
-	for r := 0; r < requests; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			gots[r], errs[r] = p.ForwardBatch(poolBatch(int64(900+r), 1))
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < requests; r++ {
-		if errs[r] != nil {
-			t.Fatalf("request %d failed: %v", r, errs[r])
-		}
-		assertSameData(t, "pipeline-hammer", r, wants[r], gots[r])
-	}
-	rows := p.DeviceHealth()
-	if rows[3].State != "quarantined" {
-		t.Fatalf("dying device not quarantined: %+v", rows[3])
-	}
-	if p.Live() != 3 {
-		t.Fatalf("live %d, want 3", p.Live())
-	}
-}
-
 // TestChannelShardDeviceOutageDegrades: with a homogeneous channel-shard
 // pool, an outage fails the request (the serve ladder retries), the
 // device quarantines, and subsequent requests succeed on the surviving
@@ -234,7 +131,6 @@ func TestDecisionLog(t *testing.T) {
 	}{
 		{ShardSample, []string{"mode=sample", "dev=", "samples=["}},
 		{ShardChannel, []string{"mode=channel", "oc=[", "first="}},
-		{ShardPipeline, []string{"mode=pipeline", "stages=[", "steps=["}},
 	} {
 		var buf bytes.Buffer
 		var mu sync.Mutex
@@ -268,31 +164,6 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(b []byte) (int, error) { return f(b) }
 
-// TestStageBounds pins the partitioner: contiguous, non-empty stages
-// minimizing the bottleneck.
-func TestStageBounds(t *testing.T) {
-	for _, tc := range []struct {
-		costs  []float64
-		stages int
-		want   []int
-	}{
-		{[]float64{4, 0, 0, 2, 0, 2}, 2, []int{0, 1, 6}},
-		{[]float64{1, 1, 1, 1}, 2, []int{0, 2, 4}},
-		{[]float64{5, 1, 1, 1}, 4, []int{0, 1, 2, 3, 4}},
-		{[]float64{3, 3}, 8, []int{0, 1, 2}},
-	} {
-		got := StageBounds(tc.costs, tc.stages)
-		if len(got) != len(tc.want) {
-			t.Fatalf("StageBounds(%v, %d) = %v, want %v", tc.costs, tc.stages, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("StageBounds(%v, %d) = %v, want %v", tc.costs, tc.stages, got, tc.want)
-			}
-		}
-	}
-}
-
 // TestSplitChannels pins the channel split: contiguous, near-even, never
 // more parts than channels.
 func TestSplitChannels(t *testing.T) {
@@ -308,6 +179,76 @@ func TestSplitChannels(t *testing.T) {
 		got := SplitChannels(tc.cout, tc.parts)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Fatalf("SplitChannels(%d, %d) = %v, want %v", tc.cout, tc.parts, got, tc.want)
+		}
+	}
+}
+
+// TestStepMetasAndCosts pins the per-step profile a benchmark trace builds
+// its modeled column from: step names, the geometry of every engine
+// convolution, output shapes equal to StepShapes, and arch-model costs
+// that are positive at exactly the convolution steps.
+func TestStepMetasAndCosts(t *testing.T) {
+	same := tensor.Same
+	for _, tc := range []struct {
+		net   *nn.Network
+		names []string
+		convs map[int]nn.ConvGeom
+	}{
+		{
+			net:   nn.SmallCNN([2]int{8, 16}, 10, 99),
+			names: []string{"conv(planned)", "relu", "maxpool", "conv(planned)", "relu", "maxpool", "globalavgpool", "dense"},
+			convs: map[int]nn.ConvGeom{
+				0: {Cin: 3, Cout: 8, H: 32, W: 32, K: 3, Stride: 1, Pad: same},
+				3: {Cin: 8, Cout: 16, H: 16, W: 16, K: 3, Stride: 1, Pad: same},
+			},
+		},
+		{
+			net:   nn.AlexNetS(10, 7),
+			names: []string{"conv(planned)", "relu", "conv(planned)", "relu", "maxpool", "conv(planned)", "relu", "globalavgpool", "dense"},
+			convs: map[int]nn.ConvGeom{
+				0: {Cin: 3, Cout: 12, H: 32, W: 32, K: 5, Stride: 2, Pad: same},
+				2: {Cin: 12, Cout: 24, H: 16, W: 16, K: 3, Stride: 1, Pad: same},
+				5: {Cin: 24, Cout: 32, H: 8, W: 8, K: 3, Stride: 1, Pad: same},
+			},
+		},
+	} {
+		eng, err := backend.Open("accelerator?workers=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := tc.net.Compile(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas, err := plan.StepMetas(3, 32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes, err := plan.StepShapes(3, 32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs := StepCosts(metas)
+		if len(metas) != len(tc.names) || len(shapes) != len(metas) || len(costs) != len(metas) {
+			t.Fatalf("%s: %d metas, %d shapes, %d costs, want %d steps", tc.net.Name, len(metas), len(shapes), len(costs), len(tc.names))
+		}
+		for i, m := range metas {
+			if m.Name != tc.names[i] {
+				t.Errorf("%s step %d: name %q, want %q", tc.net.Name, i, m.Name, tc.names[i])
+			}
+			want, isConv := tc.convs[i]
+			switch {
+			case isConv && (m.Conv == nil || *m.Conv != want):
+				t.Errorf("%s step %d: conv %+v, want %+v", tc.net.Name, i, m.Conv, want)
+			case !isConv && m.Conv != nil:
+				t.Errorf("%s step %d: unexpected conv %+v", tc.net.Name, i, *m.Conv)
+			}
+			if fmt.Sprint(m.Out) != fmt.Sprint(shapes[i].Out) {
+				t.Errorf("%s step %d: out %v, StepShapes %v", tc.net.Name, i, m.Out, shapes[i].Out)
+			}
+			if (costs[i] > 0) != isConv {
+				t.Errorf("%s step %d (%s): cost %g", tc.net.Name, i, m.Name, costs[i])
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -459,6 +460,9 @@ func TestPoolValidation(t *testing.T) {
 		{Specs: []string{"accelerator?nta=-3"}},
 		{Specs: []string{"accelerator"}, MaxShards: -1},
 		{Specs: []string{"accelerator"}, HedgeFactor: -1},
+		{Specs: []string{"accelerator"}, HedgeFactor: math.NaN()},
+		{Specs: []string{"accelerator"}, HedgeFactor: math.Inf(1)},
+		{Specs: []string{"accelerator"}, Shard: "pipeline"}, // removed strategy
 	}
 	for _, opts := range bad {
 		if _, err := New(net, opts); !errors.Is(err, ErrBadPool) {

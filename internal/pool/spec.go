@@ -7,7 +7,8 @@
 // sub-grammar), so the devices= parameter is NOT ','-splittable and must
 // come LAST: everything after "devices=" is the device list, split on '|'.
 // A "SPEC*N" entry replicates one spec N times ("accelerator*4" is a
-// four-device homogeneous farm). Parameters before devices=:
+// four-device homogeneous farm); '*' may appear only there, and one spec
+// names at most 1024 devices. Parameters before devices=:
 //
 //	hedge=BOOL        enable straggler hedging (default false)
 //	hedgedelay=DUR    fixed hedge delay (default: p99-derived)
@@ -16,7 +17,7 @@
 //	quarantine=N      consecutive faults before quarantine (default 3)
 //	probe=DUR         background probe cadence (default 50ms)
 //	maxshards=N       shard cap per request (default: pool size)
-//	shard=S           execution strategy: sample (default) | channel | pipeline
+//	shard=S           execution strategy: sample (default) | channel
 //	debug=BOOL        log scheduling decisions to stderr (default false)
 package pool
 
@@ -31,6 +32,10 @@ import (
 
 // Name is the spec prefix that selects a device pool.
 const Name = "pool"
+
+// maxDevices caps the device count of one pool spec, so a replication
+// count cannot make ParseSpec allocate without bound.
+const maxDevices = 1024
 
 // IsPoolSpec reports whether spec names a device pool rather than a single
 // backend engine.
@@ -63,7 +68,15 @@ func ParseSpec(spec string) (Options, error) {
 			if err != nil || n < 1 {
 				return o, fmt.Errorf("%w: spec %q: bad replication %q (want SPEC*N)", ErrBadPool, spec, dev)
 			}
-			reps, dev = n, dev[:j]
+			reps, dev = n, strings.TrimSpace(dev[:j])
+		}
+		// A '*' left inside the device spec would read as a replication
+		// suffix once the spec is rendered back one device per entry.
+		if dev == "" || strings.Contains(dev, "*") {
+			return o, fmt.Errorf("%w: spec %q: bad device entry %q (want SPEC or SPEC*N)", ErrBadPool, spec, dev)
+		}
+		if reps > maxDevices-len(o.Specs) {
+			return o, fmt.Errorf("%w: spec %q: more than %d devices", ErrBadPool, spec, maxDevices)
 		}
 		for r := 0; r < reps; r++ {
 			o.Specs = append(o.Specs, dev)
@@ -123,20 +136,10 @@ func Open(net *nn.Network, spec string) (*DevicePool, error) {
 }
 
 // synthesizeSpec renders Options back into the canonical grammar (used by
-// New, where no textual spec exists yet).
+// New, where no textual spec exists yet). It writes every settable field,
+// so ParseSpec of the result restores o.
 func synthesizeSpec(o Options) string {
-	var b strings.Builder
-	b.WriteString(Name + "?")
-	if o.Hedge {
-		b.WriteString("hedge=true,")
-	}
-	if o.Shard != "" && o.Shard != ShardSample {
-		fmt.Fprintf(&b, "shard=%s,", o.Shard)
-	}
-	if o.Debug {
-		b.WriteString("debug=true,")
-	}
-	fmt.Fprintf(&b, "quarantine=%d,probe=%s,devices=%s",
-		o.QuarantineThreshold, o.ProbeInterval, strings.Join(o.Specs, "|"))
-	return b.String()
+	return fmt.Sprintf("%s?hedge=%t,hedgedelay=%s,hedgefactor=%g,minhedge=%s,quarantine=%d,probe=%s,maxshards=%d,shard=%s,debug=%t,devices=%s",
+		Name, o.Hedge, o.HedgeDelay, o.HedgeFactor, o.MinHedge,
+		o.QuarantineThreshold, o.ProbeInterval, o.MaxShards, o.Shard, o.Debug, strings.Join(o.Specs, "|"))
 }

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -60,6 +61,10 @@ func TestParseSpecRejects(t *testing.T) {
 		"pool?bogus=1,devices=accelerator", // unknown parameter
 		"pool?hedge,devices=accelerator",   // not key=value
 		"pool?probe=xyz,devices=reference", // bad duration
+		"pool?devices=*2",                  // replication of nothing
+		"pool?devices=accelerator*2*3",     // '*' left inside the device spec
+		"pool?devices=accelerator*1025",    // more than 1024 devices
+		"pool?devices=a*1000|b*25",         // 1025 devices over two entries
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); !errors.Is(err, ErrBadPool) {
@@ -88,4 +93,73 @@ func TestOpenPool(t *testing.T) {
 	if !IsPoolSpec("pool?devices=reference") || IsPoolSpec("accelerator") {
 		t.Fatal("IsPoolSpec misclassified")
 	}
+}
+
+// TestSynthesizedSpecRoundTrip: the spec New renders for an Options value
+// parses back to the same settings, including the hedge tuning and the
+// shard cap.
+func TestSynthesizedSpecRoundTrip(t *testing.T) {
+	net := nn.SmallCNN([2]int{4, 8}, 10, 99)
+	p, err := New(net, Options{
+		Specs:       repeatSpec("accelerator?workers=1", 2),
+		MaxShards:   1,
+		HedgeDelay:  7 * time.Millisecond,
+		HedgeFactor: 5,
+		MinHedge:    time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	o, err := ParseSpec(p.Spec())
+	if err != nil {
+		t.Fatalf("ParseSpec(%q): %v", p.Spec(), err)
+	}
+	if o.MaxShards != 1 || o.HedgeDelay != 7*time.Millisecond || o.HedgeFactor != 5 || o.MinHedge != time.Millisecond {
+		t.Fatalf("spec %q parsed back as maxshards=%d hedgedelay=%v hedgefactor=%v minhedge=%v",
+			p.Spec(), o.MaxShards, o.HedgeDelay, o.HedgeFactor, o.MinHedge)
+	}
+}
+
+// exportedOptions clears the fields a spec cannot carry: the decision-log
+// writer and the test seams.
+func exportedOptions(o Options) Options {
+	o.DecisionLog, o.now, o.after = nil, nil, nil
+	return o
+}
+
+// FuzzPoolSpec: every spec that ParseSpec and validate accept survives
+// ParseSpec → withDefaults → synthesizeSpec → ParseSpec → withDefaults
+// with the same exported Options, and the rendering is a fixed point. A
+// rejected spec fails with ErrBadPool, never a panic. The seed corpus
+// lives in testdata/fuzz/FuzzPoolSpec.
+func FuzzPoolSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		o, err := ParseSpec(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadPool) {
+				t.Fatalf("ParseSpec(%q): %v, want ErrBadPool", spec, err)
+			}
+			return
+		}
+		if o.validate() != nil {
+			return
+		}
+		want := o.withDefaults()
+		canon := synthesizeSpec(want)
+		back, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) of the rendering of %q: %v", canon, spec, err)
+		}
+		if err := back.validate(); err != nil {
+			t.Fatalf("rendering %q of %q fails validation: %v", canon, spec, err)
+		}
+		got := back.withDefaults()
+		if !reflect.DeepEqual(exportedOptions(got), exportedOptions(want)) {
+			t.Fatalf("spec %q rendered as %q:\n got %+v\nwant %+v", spec, canon, exportedOptions(got), exportedOptions(want))
+		}
+		if again := synthesizeSpec(got); again != canon {
+			t.Fatalf("rendering is not a fixed point: %q then %q", canon, again)
+		}
+	})
 }
